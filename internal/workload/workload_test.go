@@ -216,6 +216,44 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceV1Compat pins format-1 compatibility with a checked-in trace of
+// gen/mixed/0 (`rcrun -bench gen/mixed/0 -emit-trace`) whose config
+// payload carries the observer fields machine.Config serialized at the
+// time. However the config struct evolves, DecodeTrace ignores fields it
+// no longer knows, so the file must keep decoding under its original key,
+// replay against its recorded oracle, and reproduce its recorded cycle and
+// instruction counts.
+func TestTraceV1Compat(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v1_mixed0.rctrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"Trace":null,"TraceCycles":0,"Prof":false,"Events":null`)) {
+		t.Fatal("fixture lacks the observer fields it exists to cover")
+	}
+	tr, key, err := workload.DecodeTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	const wantKey = "6cfe5231fe7800d144bb43351c9e8fed1334c181d8938609d94f313df1a7d2d7"
+	if key != wantKey {
+		t.Errorf("key %s, want the original %s", key, wantKey)
+	}
+	if tr.Name != "gen/mixed/0" || tr.Cycles != 10 || tr.Instrs != 30 {
+		t.Fatalf("decoded %s with %d cycles / %d instrs, want gen/mixed/0 with 10 / 30", tr.Name, tr.Cycles, tr.Instrs)
+	}
+	// Replay checks the oracle's return value and memory digest, the
+	// recorded counts, and the cycle ledger.
+	res, err := tr.Replay(context.Background())
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if res.RetInt != tr.Expect || res.Cycles != tr.Cycles || res.Instrs != tr.Instrs {
+		t.Fatalf("replay ret=%d cycles=%d instrs=%d, recorded %d/%d/%d",
+			res.RetInt, res.Cycles, res.Instrs, tr.Expect, tr.Cycles, tr.Instrs)
+	}
+}
+
 // TestTraceReplayOnPaperBenchmark replays a hand-written benchmark's
 // trace, proving the format is not generator-specific.
 func TestTraceReplayOnPaperBenchmark(t *testing.T) {
