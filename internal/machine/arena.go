@@ -105,8 +105,8 @@ func (m *Machine) proc(i int) *simState {
 }
 
 // recoverInitFault converts a memory-fault panic raised during image
-// initialization into a structured error return (the Reset-path analogue
-// of recoverFault); any other panic is re-raised.
+// initialization into a structured error return (the cycle loop recovers
+// its own faults with full pc context); any other panic is re-raised.
 func recoverInitFault(err *error) {
 	if r := recover(); r != nil {
 		f, ok := r.(*mem.Fault)
@@ -151,14 +151,12 @@ func (m *Machine) Run() (*Result, error) {
 // run. The returned Result and its memory image alias the arena and are
 // valid until the next Reset; copy (e.g. via Result.Stats) anything that
 // must outlive it.
-func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
+func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	if !m.armed {
 		return nil, errNotReset
 	}
 	m.armed = false
 	s := m.procs[0]
-	defer bufferTrace(&s.cfg).finish(&err)
-	defer recoverFault(&res, &err)
 	s.bindContext(ctx)
 	halted, err := s.runUntil(s.cfg.MaxCycles)
 	if err != nil {
@@ -179,16 +177,18 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 // physical machine (see the package-level RunMultiprogrammed for the
 // model). It resets the arena itself — no prior Reset is needed — and the
 // returned results alias the arena like RunContext's.
-func (m *Machine) RunMultiprogrammedContext(ctx context.Context, imgs []*Image, cfg Config, quantum int64, mode SaveMode) (res *MultiResult, err error) {
+func (m *Machine) RunMultiprogrammedContext(ctx context.Context, imgs []*Image, cfg Config, quantum int64, mode SaveMode) (_ *MultiResult, err error) {
 	if len(imgs) == 0 || quantum <= 0 {
 		return nil, fmt.Errorf("machine: need processes and a positive quantum")
 	}
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	if _, ok := cfg.Probe.(*PCProf); ok {
+		return nil, errors.New("machine: a PCProf profiles single-process runs only")
+	}
 	m.armed = false
-	defer bufferTrace(&cfg).finish(&err)
-	defer recoverFault(&res, &err)
+	defer recoverInitFault(&err)
 
 	m.ensureShared(cfg)
 	m.halted = zeroed(m.halted, len(imgs))

@@ -99,6 +99,10 @@ func TestInitFaultReturnsRuntimeError(t *testing.T) {
 	if !errors.As(err, &f) {
 		t.Fatalf("init RuntimeError does not wrap *mem.Fault: %v", err)
 	}
+	mres, err := RunMultiprogrammed([]*Image{img}, c, 100, FullSave)
+	if mres != nil || !errors.As(err, &re) || re.Func != "(init)" {
+		t.Fatalf("RunMultiprogrammed = %v, %v; want nil result and an (init) RuntimeError", mres, err)
+	}
 }
 
 func TestRunContextCancelStopsEarly(t *testing.T) {
@@ -153,17 +157,11 @@ func TestRunMultiprogrammedContextCancel(t *testing.T) {
 }
 
 func TestTraceTailOnFault(t *testing.T) {
-	var buf bytes.Buffer
-	c := cfg1()
-	c.Trace = &buf
-	_, err := Run(wildStoreImg(mem.DefaultSize+8), c)
-	if err == nil {
-		t.Fatal("wild store did not fail")
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	out := textTrace(context.Background(), wildStoreImg(mem.DefaultSize+8), cfg1(), 0)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	last := lines[len(lines)-1]
 	if !strings.Contains(last, "!!") || !strings.Contains(last, "memory fault") {
-		t.Fatalf("trace tail does not show the fault:\n%s", buf.String())
+		t.Fatalf("trace tail does not show the fault:\n%s", out)
 	}
 	if !strings.Contains(last, "1:") || !strings.Contains(last, "st") {
 		t.Errorf("trace tail does not name the faulting instruction: %q", last)
@@ -176,9 +174,12 @@ func TestTraceFileSyncedOnFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	img := wildStoreImg(mem.DefaultSize + 8)
+	tt := NewTextTrace(f, 0, img)
 	c := cfg1()
-	c.Trace = f
-	if _, err := Run(wildStoreImg(mem.DefaultSize+8), c); err == nil {
+	c.Probe = tt
+	_, err = Run(img, c)
+	if err = tt.Close(err); err == nil {
 		t.Fatal("wild store did not fail")
 	}
 	data, err := os.ReadFile(f.Name())
@@ -190,21 +191,48 @@ func TestTraceFileSyncedOnFault(t *testing.T) {
 	}
 }
 
-func TestEventRingZeroValue(t *testing.T) {
-	// Config.Events = &EventRing{} must behave like a default-capacity ring,
-	// not panic on the first event.
+// failWriter rejects every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestTextTraceFlushError: a trace that cannot be written fails an
+// otherwise successful run through Close, which keeps the run's own error
+// when there is one.
+func TestTextTraceFlushError(t *testing.T) {
+	img := asm(movi(2, 1), halt())
+	tt := NewTextTrace(failWriter{}, 0, img)
 	c := cfg1()
-	c.Events = &EventRing{}
+	c.Probe = tt
+	res, err := Run(img, c)
+	if res == nil || err != nil {
+		t.Fatalf("run = %v, %v; want a result", res, err)
+	}
+	if err := tt.Close(nil); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("Close = %v, want the write failure", err)
+	}
+	runErr := errors.New("run failed")
+	if err := tt.Close(runErr); err != runErr {
+		t.Errorf("Close(runErr) = %v, want runErr", err)
+	}
+}
+
+func TestEventRingZeroValue(t *testing.T) {
+	// Config.Probe = &EventRing{} must behave like a default-capacity ring,
+	// not panic on the first event.
+	ring := &EventRing{}
+	c := cfg1()
+	c.Probe = ring
 	img := asm(movi(2, 1), add(3, 2, 2), halt())
 	if _, err := Run(img, c); err != nil {
 		t.Fatal(err)
 	}
-	evs := c.Events.Events()
+	evs := ring.Events()
 	if len(evs) == 0 {
 		t.Fatal("zero-value ring recorded no events")
 	}
-	if c.Events.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", c.Events.Dropped())
+	if ring.Dropped() != 0 {
+		t.Errorf("Dropped = %d, want 0", ring.Dropped())
 	}
 	if evs[len(evs)-1].Kind != EvHalt {
 		t.Errorf("last event kind = %d, want EvHalt", evs[len(evs)-1].Kind)
@@ -214,7 +242,7 @@ func TestEventRingZeroValue(t *testing.T) {
 func TestEventRingWraparound(t *testing.T) {
 	r := NewEventRing(4)
 	for i := 0; i < 7; i++ {
-		r.add(Event{Kind: EvIssue, Cycle: int64(i), PC: int32(i)})
+		r.Event(Event{Kind: EvIssue, Cycle: int64(i), PC: int32(i)})
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -233,7 +261,7 @@ func TestEventRingWraparound(t *testing.T) {
 func TestEventRingPartialFill(t *testing.T) {
 	r := NewEventRing(8)
 	for i := 0; i < 3; i++ {
-		r.add(Event{Cycle: int64(i)})
+		r.Event(Event{Cycle: int64(i)})
 	}
 	if evs := r.Events(); len(evs) != 3 || evs[0].Cycle != 0 || evs[2].Cycle != 2 {
 		t.Fatalf("partial ring Events = %v", evs)
@@ -250,19 +278,20 @@ func TestWriteTraceJSONAfterWraparound(t *testing.T) {
 	// Drive a real run into a tiny ring so it wraps, then check the exported
 	// Chrome trace: timestamps must be monotonic and must not predate the
 	// oldest retained event.
+	ring := NewEventRing(16)
 	c := cfg1()
-	c.Events = NewEventRing(16)
+	c.Probe = ring
 	img := loopImg(50)
 	if _, err := Run(img, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Events.Dropped() == 0 {
+	if ring.Dropped() == 0 {
 		t.Fatal("ring did not wrap; enlarge the loop")
 	}
-	oldest := c.Events.Events()[0].Cycle
+	oldest := ring.Events()[0].Cycle
 
 	var buf bytes.Buffer
-	if err := c.Events.WriteTraceJSON(&buf, img); err != nil {
+	if err := ring.WriteTraceJSON(&buf, img); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -277,8 +306,8 @@ func TestWriteTraceJSONAfterWraparound(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.OtherData.Dropped != c.Events.Dropped() {
-		t.Errorf("exported dropped count %d, want %d", doc.OtherData.Dropped, c.Events.Dropped())
+	if doc.OtherData.Dropped != ring.Dropped() {
+		t.Errorf("exported dropped count %d, want %d", doc.OtherData.Dropped, ring.Dropped())
 	}
 	prev := int64(-1)
 	for _, te := range doc.TraceEvents {

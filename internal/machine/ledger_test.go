@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,15 +157,12 @@ func TestNoSwitchChargeAfterFinalHalt(t *testing.T) {
 // branch's trace line carries the cycle it issued in, and the next line
 // resumes after the penalty, keeping stamps strictly increasing.
 func TestTraceStampsPrePenaltyCycle(t *testing.T) {
-	var buf bytes.Buffer
-	c := cfg1()
-	c.Trace = &buf
-	res := run(t, asm(mispredictProg()...), c)
-	if res.Mispredicts != 1 {
+	img := asm(mispredictProg()...)
+	if res := run(t, img, cfg1()); res.Mispredicts != 1 {
 		t.Fatalf("mispredicts = %d", res.Mispredicts)
 	}
 	var stamps []int64
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(textTrace(context.Background(), img, cfg1(), 0)), "\n") {
 		f := strings.Fields(line)
 		if len(f) == 0 {
 			continue

@@ -146,4 +146,9 @@ func TestMultiprogrammedValidation(t *testing.T) {
 	if _, err := RunMultiprogrammed([]*Image{coreProg(10)}, multiCfg(), 0, FullSave); err == nil {
 		t.Error("expected error for zero quantum")
 	}
+	c := multiCfg()
+	c.Probe = new(PCProf)
+	if _, err := RunMultiprogrammed([]*Image{coreProg(10), rcProg(1, 10)}, c, 100, FullSave); err == nil {
+		t.Error("expected error for a PCProf probe")
+	}
 }

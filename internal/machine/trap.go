@@ -48,11 +48,6 @@ type TrapConfig struct {
 	ProgramUsesRC bool
 }
 
-// trapState tracks interrupt accounting during a run.
-type trapState struct {
-	next int64
-}
-
 // trapOverhead computes the cycle cost of one interrupt and exercises the
 // architectural mechanisms involved (enable flag, context save/restore) so
 // their transparency is continuously verified, not assumed.

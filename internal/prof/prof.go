@@ -37,7 +37,7 @@ type Profile struct {
 }
 
 // New builds a profile view over a run. The result must carry per-PC
-// attribution (Arch.Profile / machine.Config.Prof).
+// attribution (Arch.Profile, or a machine.PCProf as Config.Probe).
 func New(img *machine.Image, res *machine.Result) (*Profile, error) {
 	if img == nil || res == nil {
 		return nil, errors.New("prof: nil image or result")

@@ -53,7 +53,7 @@ func fixture(t *testing.T) (*machine.Image, *machine.Result) {
 	cfg.IssueRate = 2
 	cfg.IntCore, cfg.IntTotal = 8, 16
 	cfg.FPCore, cfg.FPTotal = 8, 16
-	cfg.Prof = true
+	cfg.Probe = new(machine.PCProf)
 	res, err := machine.Run(img, cfg)
 	if err != nil {
 		t.Fatal(err)

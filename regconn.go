@@ -119,7 +119,8 @@ type Arch struct {
 	// Profile enables per-static-instruction cycle attribution: the run's
 	// Result carries a machine.PCProf that internal/prof rolls up to
 	// functions, basic blocks, and virtual registers (cmd/rcprof). It has
-	// no effect on simulated timing or architectural results.
+	// no effect on simulated timing or architectural results. It applies
+	// to Run, Verify and Arena runs; RunProcesses rejects it.
 	Profile bool
 
 	// MemSize is the simulated memory image size in bytes (0 = the
@@ -418,13 +419,22 @@ func (e *Executable) machineConfig() machine.Config {
 		Model:            a.Model,
 		ConnectLatency:   a.ConnectLatency,
 		ExtraDecodeStage: a.ExtraDecodeStage,
-		Prof:             a.Profile,
 		MemSize:          a.MemSize,
 	}
 	// The backend owns the scheme-specific knobs: the identity map of the
 	// unlimited machine, the spill machine's core-only file, portreduce's
 	// read-port hazard, chain's forwarding marks.
 	return e.be.Machine(e.bp, cfg)
+}
+
+// runConfig is machineConfig with the Arch.Profile observer attached: a
+// fresh PCProf per run, which the result exports as Result.Prof.
+func (e *Executable) runConfig() machine.Config {
+	cfg := e.machineConfig()
+	if e.Arch.Profile {
+		cfg.Probe = new(machine.PCProf)
+	}
+	return cfg
 }
 
 // Run simulates the executable and returns the machine result.
@@ -437,25 +447,28 @@ func (e *Executable) Run() (*machine.Result, error) {
 // surfaces as an error wrapping both machine.ErrCanceled and the context's
 // own error.
 func (e *Executable) RunContext(ctx context.Context) (*machine.Result, error) {
-	return machine.RunContext(ctx, e.Image, e.machineConfig())
+	return machine.RunContext(ctx, e.Image, e.runConfig())
 }
 
 // RunWithTrace simulates with a per-cycle issue trace written to w for the
-// first cycles cycles (0 = unlimited).
+// first cycles cycles (0 = unlimited); see machine.TextTrace. The trace is
+// the run's only observer, so Arch.Profile does not apply.
 func (e *Executable) RunWithTrace(w io.Writer, cycles int64) (*machine.Result, error) {
+	tt := machine.NewTextTrace(w, cycles, e.Image)
 	cfg := e.machineConfig()
-	cfg.Trace = w
-	cfg.TraceCycles = cycles
-	return machine.Run(e.Image, cfg)
+	cfg.Probe = tt
+	res, err := machine.Run(e.Image, cfg)
+	return res, tt.Close(err)
 }
 
 // RunWithEvents simulates with the structured event trace enabled: the
 // pipeline records issues, stalls, connects, map resets, and traps into
 // ring (most recent window when the ring fills). Render the result with
-// ring.WriteTraceJSON for chrome://tracing / Perfetto.
+// ring.WriteTraceJSON for chrome://tracing / Perfetto. The ring is the
+// run's only observer, so Arch.Profile does not apply.
 func (e *Executable) RunWithEvents(ring *machine.EventRing) (*machine.Result, error) {
 	cfg := e.machineConfig()
-	cfg.Events = ring
+	cfg.Probe = ring
 	return machine.Run(e.Image, cfg)
 }
 
@@ -479,6 +492,9 @@ func processImages(exes []*Executable) ([]*machine.Image, machine.Config, error)
 	}
 	imgs := make([]*machine.Image, len(exes))
 	for i, e := range exes {
+		if e.Arch.Profile {
+			return nil, machine.Config{}, fmt.Errorf("regconn: process %d: Arch.Profile profiles single-process runs only", i)
+		}
 		if e.Arch.Issue != exes[0].Arch.Issue || e.Arch.IntCore != exes[0].Arch.IntCore ||
 			e.Arch.FPCore != exes[0].Arch.FPCore {
 			return nil, machine.Config{}, fmt.Errorf("regconn: process %d targets a different architecture", i)
@@ -567,7 +583,7 @@ func (a *Arena) Run(e *Executable) (*machine.Result, error) {
 // RunContext simulates the executable on the arena under ctx, with
 // Executable.RunContext's cancellation semantics.
 func (a *Arena) RunContext(ctx context.Context, e *Executable) (*machine.Result, error) {
-	if err := a.m.Reset(e.Image, e.machineConfig()); err != nil {
+	if err := a.m.Reset(e.Image, e.runConfig()); err != nil {
 		return nil, err
 	}
 	return a.m.RunContext(ctx)
