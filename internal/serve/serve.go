@@ -39,6 +39,7 @@ import (
 	"regconn"
 	"regconn/internal/bench"
 	"regconn/internal/exp"
+	"regconn/internal/flight"
 	"regconn/internal/machine"
 	"regconn/internal/obs"
 	"regconn/internal/store"
@@ -88,7 +89,7 @@ type Server struct {
 	store      *store.Store // nil = memory-only
 	ring       *ring        // nil = unsharded
 	peerClient *http.Client
-	flights    *flightGroup
+	flights    *flight.Group[[]byte] // marshaled response bytes per key
 	met        *metrics
 	obs        *serveObs
 	sem        chan struct{}
@@ -107,7 +108,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newLRUCache(cfg.CacheSize),
-		flights: newFlightGroup(),
+		flights: flight.NewGroup[[]byte](),
 		sem:     make(chan struct{}, cfg.Workers),
 		runner:  exp.NewRunner(),
 	}
