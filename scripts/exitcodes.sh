@@ -12,7 +12,7 @@ GO=${GO:-go}
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT INT TERM
 
-if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen; then
+if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof; then
     echo "exitcodes: build failed" >&2
     exit 1
 fi
@@ -71,6 +71,13 @@ expect 0 "$BIN/rcrun" -bench grep
 expect 0 "$BIN/rcrun" -bench grep -mode portreduce
 expect 0 "$BIN/rcrun" -bench grep -mode chain
 expect 0 "$BIN/rcrun" -list
+
+# Simulator observers (machine.Config.Probe): the text trace, the Chrome
+# event trace and the per-PC profile run to completion.
+expect 0 "$BIN/rcrun" -bench grep -trace 8
+expect 0 "$BIN/rcrun" -bench grep -trace-json "$BIN/t.json"
+expect 0 "$BIN/rcrun" -bench cmp -prof
+expect 0 "$BIN/rcprof" -bench cmp -trace-json "$BIN/p.json"
 
 # rcrun generated workloads and trace emission: malformed gen names and
 # unknown profiles fail; a valid spec runs, and -emit-trace produces a
