@@ -44,9 +44,10 @@ type Result struct {
 // concurrent use: duplicate in-flight points collapse onto one waiter-
 // counted flight (internal/flight, the same mechanism as the rcserve
 // daemon), so one caller abandoning a point cannot cancel the simulation
-// for the others, and each figure generator fans its point grid out across
-// a bounded worker pool (warm) before a deterministic sequential pass
-// assembles the table from the memoized results.
+// for the others. Every experiment states its rows once and hands them to
+// one grid evaluator (eval), which simulates the distinct points across a
+// bounded worker pool and then reads the table values in row order from
+// the memo, so tables and errors are the same at any worker count.
 type Runner struct {
 	mu      sync.Mutex
 	done    map[string]memo        // completed points (results and non-cancel errors)
@@ -58,11 +59,12 @@ type Runner struct {
 	// Benchmarks restricts the suite (nil = all twelve).
 	Benchmarks []bench.Benchmark
 
-	// Progress, when set, is called after each point of a warm pass
-	// completes, with the number of finished points and the pass total.
-	// It is the hook live dashboards (rcexp -progress, rcserve's
-	// /v1/sweeps) build on. Called from worker goroutines — must be
-	// safe for concurrent use.
+	// Progress, when set, is called once per distinct point of an
+	// experiment, after the evaluator's first pass has simulated it, with
+	// the number of finished points and the experiment's total. It is the
+	// hook rcexp -progress builds on. Setting it runs the first pass even
+	// with one worker. Called from worker goroutines — must be safe for
+	// concurrent use.
 	Progress func(done, total int)
 
 	// runPoint overrides the execution primitive (nil = RunPoint). It is a
@@ -220,10 +222,41 @@ func RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Resu
 	}, nil
 }
 
-// point is one benchmark×architecture coordinate of a figure's grid.
+// point is one benchmark×architecture coordinate of an experiment's grid.
 type point struct {
 	bm   bench.Benchmark
 	arch regconn.Arch
+}
+
+// cell is one table value: the point it reads and how the value is read
+// from the point's Result. A nil read makes it a speedup cell.
+type cell struct {
+	arch regconn.Arch
+	read func(*Result) (float64, error)
+}
+
+// speedups returns one speedup cell per architecture: the §5.3 baseline's
+// cycles (a single-issue processor with unlimited registers and scalar
+// optimization only) over the point's cycles.
+func speedups(archs ...regconn.Arch) []cell {
+	cells := make([]cell, len(archs))
+	for i, a := range archs {
+		cells[i] = cell{arch: a}
+	}
+	return cells
+}
+
+// stat returns a cell that reads f off the point's Result.
+func stat(a regconn.Arch, f func(*Result) float64) cell {
+	return cell{a, func(res *Result) (float64, error) { return f(res), nil }}
+}
+
+// row is one table line as an experiment states it, once: its name, its
+// benchmark and its cells.
+type row struct {
+	name  string
+	bm    bench.Benchmark
+	cells []cell
 }
 
 // workers returns the effective worker-pool size.
@@ -234,97 +267,107 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forAll runs f(i) for every i in [0, n) across the bounded worker pool.
-func (r *Runner) forAll(n int, f func(i int)) {
-	w := r.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
+// eval is the grid evaluator every simulated experiment goes through. Its
+// first pass collects the rows' distinct points in row order, each
+// benchmark's baseline ahead of its first speedup cell, and simulates them
+// across the worker pool (prefetch). Its second pass reads the values in
+// row order and returns the first error in row order, so neither values
+// nor errors depend on Workers.
+func (r *Runner) eval(rows []row) ([]Row, error) {
+	var pts []point
+	for _, rw := range rows {
+		for _, c := range rw.cells {
+			if c.read == nil {
+				pts = append(pts, point{rw.bm, regconn.Baseline()})
+			}
+			pts = append(pts, point{rw.bm, c.arch})
 		}
-		return
 	}
-	sem := make(chan struct{}, w)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}(i)
+	r.prefetch(pts)
+	var out []Row
+	for _, rw := range rows {
+		vals := make([]float64, len(rw.cells))
+		for i, c := range rw.cells {
+			v, err := r.value(rw.bm, c)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		out = append(out, Row{rw.name, vals})
 	}
-	wg.Wait()
+	return out, nil
 }
 
-// warm simulates the given points concurrently, populating the memo cache
-// so the figure's sequential pass — which keeps row order and error
-// reporting deterministic — hits only memoized results. Errors are left in
-// the cache for that pass to surface. When a Progress hook is set, the
-// warm pass also runs in sequential mode (the hook has to see the grid
-// advance), reporting after each unique point completes.
-func (r *Runner) warm(pts []point) {
-	progress := r.Progress
-	if r.workers() <= 1 && progress == nil {
+// value reads one cell; a speedup cell reads the baseline first.
+func (r *Runner) value(bm bench.Benchmark, c cell) (float64, error) {
+	var base *Result
+	if c.read == nil {
+		var err error
+		if base, err = r.Run(bm, regconn.Baseline()); err != nil {
+			return 0, err
+		}
+	}
+	res, err := r.Run(bm, c.arch)
+	if err != nil {
+		return 0, err
+	}
+	if c.read == nil {
+		return float64(base.Cycles) / float64(res.Cycles), nil
+	}
+	return c.read(res)
+}
+
+// prefetch simulates the distinct points of pts, in order, across the
+// worker pool, so the reads that follow hit the memo; errors stay memoized
+// for those reads to report. Progress ticks once per distinct point. With
+// one worker and no Progress hook the pass is skipped: the reads then
+// simulate each point as they reach it.
+func (r *Runner) prefetch(pts []point) {
+	if r.workers() <= 1 && r.Progress == nil {
 		return
 	}
 	seen := make(map[string]bool, len(pts))
-	uniq := make([]point, 0, len(pts))
+	var uniq []point
 	for _, p := range pts {
 		if k := key(p.bm.Name, p.arch); !seen[k] {
 			seen[k] = true
 			uniq = append(uniq, p)
 		}
 	}
-	var done atomic.Int64
-	r.forAll(len(uniq), func(i int) {
-		_, _ = r.Run(uniq[i].bm, uniq[i].arch)
-		if progress != nil {
-			progress(int(done.Add(1)), len(uniq))
-		}
-	})
+	var next, done atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(r.workers(), len(uniq)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(uniq); i = int(next.Add(1)) - 1 {
+				_, _ = r.Run(uniq[i].bm, uniq[i].arch)
+				if r.Progress != nil {
+					r.Progress(int(done.Add(1)), len(uniq))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
-// warmSpeedups warms the points plus each benchmark's baseline (the
-// Speedup denominator).
-func (r *Runner) warmSpeedups(pts []point) {
-	withBase := make([]point, 0, len(pts)+len(r.Benchmarks))
-	seen := map[string]bool{}
-	for _, p := range pts {
-		if !seen[p.bm.Name] {
-			seen[p.bm.Name] = true
-			withBase = append(withBase, point{p.bm, regconn.Baseline()})
-		}
-		withBase = append(withBase, p)
+// tabulate states one row per benchmark of bms, named after it and holding
+// the cells cellsOf returns, evaluates the rows into t and, when mean is
+// set, closes t with the geomean row.
+func (r *Runner) tabulate(t *Table, mean bool, bms []bench.Benchmark, cellsOf func(bench.Benchmark) []cell) (*Table, error) {
+	var rows []row
+	for _, bm := range bms {
+		rows = append(rows, row{bm.Name, bm, cellsOf(bm)})
 	}
-	r.warm(withBase)
-}
-
-// BaselineCycles returns the speedup denominator of §5.3 for one
-// benchmark: a single-issue processor with unlimited registers and
-// conventional scalar optimization.
-func (r *Runner) BaselineCycles(bm bench.Benchmark) (int64, error) {
-	res, err := r.Run(bm, regconn.Baseline())
-	if err != nil {
-		return 0, err
+	var err error
+	if t.Rows, err = r.eval(rows); err != nil {
+		return nil, err
 	}
-	return res.Cycles, nil
-}
-
-// Speedup runs the benchmark under arch and returns baseline/arch cycles.
-func (r *Runner) Speedup(bm bench.Benchmark, arch regconn.Arch) (float64, error) {
-	base, err := r.BaselineCycles(bm)
-	if err != nil {
-		return 0, err
+	if mean {
+		t.AddMeanRow()
 	}
-	res, err := r.Run(bm, arch)
-	if err != nil {
-		return 0, err
-	}
-	return float64(base) / float64(res.Cycles), nil
+	return t, nil
 }
 
 // archFor applies the paper's per-class convention (§5.2): integer

@@ -36,7 +36,6 @@ func Table1() *Table {
 // Figure7 reproduces the unlimited-register speedups for issue rates
 // 1/2/4/8 with the paper's default memory channels.
 func (r *Runner) Figure7() (*Table, error) {
-	issues := []int{1, 2, 4, 8}
 	t := &Table{
 		ID:    "fig7",
 		Title: "Speedup, unlimited registers, varying issue rate and memory channels",
@@ -44,113 +43,80 @@ func (r *Runner) Figure7() (*Table, error) {
 		Notes: []string{"2 memory channels for 1/2/4-issue, 4 for 8-issue (§5.2)",
 			"baseline: 1-issue, unlimited registers, scalar optimization only"},
 	}
-	arch := func(is int) regconn.Arch {
-		return regconn.Arch{Issue: is, LoadLatency: 2, Mode: regconn.Unlimited}
-	}
-	var pts []point
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
+		for _, is := range []int{1, 2, 4, 8} {
+			cells = append(cells, speedups(regconn.Arch{Issue: is, LoadLatency: 2, Mode: regconn.Unlimited})...)
+		}
+		return cells
+	})
+}
+
+// coreTables evaluates the Figure 8/9 grid in one call. Per benchmark it
+// states one row per core size, with the cells of(noRC, rc) over the
+// 4-issue, 2-cycle-load without-RC and with-RC points, then one row of the
+// tail cells when tail is set; mk turns each benchmark's rows into its
+// table.
+func (r *Runner) coreTables(of func(noRC, rc regconn.Arch) []cell, tail []cell, mk func(bm bench.Benchmark, rows []Row) *Table) ([]*Table, error) {
+	base := regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true}
+	var rows []row
 	for _, bm := range r.sortedBench() {
-		for _, is := range issues {
-			pts = append(pts, point{bm, arch(is)})
+		for _, m := range coresFor(bm) {
+			rows = append(rows, row{fmt.Sprintf("%s/m=%d", bm.Name, m), bm,
+				of(sweepArch(bm, m, regconn.WithoutRC, base), sweepArch(bm, m, regconn.WithRC, base))})
+		}
+		if tail != nil {
+			rows = append(rows, row{bm.Name, bm, tail})
 		}
 	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, is := range issues {
-			s, err := r.Speedup(bm, arch(is))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
-		}
-		t.AddRow(bm.Name, vals...)
+	vals, err := r.eval(rows)
+	if err != nil {
+		return nil, err
 	}
-	t.AddMeanRow()
-	return t, nil
+	var tables []*Table
+	for _, bm := range r.sortedBench() {
+		n := len(coresFor(bm))
+		if tail != nil {
+			n++
+		}
+		tables = append(tables, mk(bm, vals[:n:n]))
+		vals = vals[n:]
+	}
+	return tables, nil
 }
 
 // Figure8 reproduces speedup vs core register count for a 4-issue
 // processor with 2-cycle loads: without-RC and with-RC per size, with the
 // unlimited-register speedup as the dotted-line reference.
 func (r *Runner) Figure8() ([]*Table, error) {
-	grid := func(bm bench.Benchmark, m int, mode regconn.RegMode) regconn.Arch {
-		return sweepArch(bm, m, mode, regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true})
-	}
-	unlArch := regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.Unlimited}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for _, m := range coresFor(bm) {
-			pts = append(pts, point{bm, grid(bm, m, regconn.WithoutRC)}, point{bm, grid(bm, m, regconn.WithRC)})
-		}
-		pts = append(pts, point{bm, unlArch})
-	}
-	r.warmSpeedups(pts)
-	var tables []*Table
-	for _, bm := range r.sortedBench() {
-		cores := coresFor(bm)
-		t := &Table{
-			ID:    "fig8",
-			Title: fmt.Sprintf("Speedup vs core registers, 4-issue, 2-cycle load — %s (%s)", bm.Name, bm.Paper),
-			Cols:  []string{"without-RC", "with-RC"},
-		}
-		for _, m := range cores {
-			noRC, err := r.Speedup(bm, grid(bm, m, regconn.WithoutRC))
-			if err != nil {
-				return nil, err
+	unl := speedups(regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.Unlimited})
+	return r.coreTables(func(noRC, rc regconn.Arch) []cell { return speedups(noRC, rc) }, unl,
+		func(bm bench.Benchmark, rows []Row) *Table {
+			n := len(rows) - 1
+			return &Table{
+				ID:    "fig8",
+				Title: fmt.Sprintf("Speedup vs core registers, 4-issue, 2-cycle load — %s (%s)", bm.Name, bm.Paper),
+				Cols:  []string{"without-RC", "with-RC"},
+				Rows:  rows[:n:n],
+				Notes: []string{fmt.Sprintf("unlimited-register speedup (dotted line): %.2f", rows[n].Vals[0])},
 			}
-			rc, err := r.Speedup(bm, grid(bm, m, regconn.WithRC))
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(fmt.Sprintf("%s/m=%d", bm.Name, m), noRC, rc)
-		}
-		unl, err := r.Speedup(bm, unlArch)
-		if err != nil {
-			return nil, err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("unlimited-register speedup (dotted line): %.2f", unl))
-		tables = append(tables, t)
-	}
-	return tables, nil
+		})
 }
 
 // Figure9 reproduces the percentage code-size increase due to register
 // allocation for the Figure 8 grid; the with-RC save/restore share is the
 // black portion of the paper's bars.
 func (r *Runner) Figure9() ([]*Table, error) {
-	grid := func(bm bench.Benchmark, m int, mode regconn.RegMode) regconn.Arch {
-		return sweepArch(bm, m, mode, regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true})
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for _, m := range coresFor(bm) {
-			pts = append(pts, point{bm, grid(bm, m, regconn.WithoutRC)}, point{bm, grid(bm, m, regconn.WithRC)})
-		}
-	}
-	r.warm(pts)
-	var tables []*Table
-	for _, bm := range r.sortedBench() {
-		cores := coresFor(bm)
-		t := &Table{
+	growth := func(res *Result) float64 { return res.Growth * 100 }
+	return r.coreTables(func(noRC, rc regconn.Arch) []cell {
+		return []cell{stat(noRC, growth), stat(rc, growth), stat(rc, func(res *Result) float64 { return res.SaveRest * 100 })}
+	}, nil, func(bm bench.Benchmark, rows []Row) *Table {
+		return &Table{
 			ID:    "fig9",
 			Title: fmt.Sprintf("%% code-size increase after allocation — %s (%s)", bm.Name, bm.Paper),
 			Cols:  []string{"without-RC%", "with-RC%", "save/rest%"},
+			Rows:  rows,
 		}
-		for _, m := range cores {
-			noRC, err := r.Run(bm, grid(bm, m, regconn.WithoutRC))
-			if err != nil {
-				return nil, err
-			}
-			rc, err := r.Run(bm, grid(bm, m, regconn.WithRC))
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(fmt.Sprintf("%s/m=%d", bm.Name, m),
-				noRC.Growth*100, rc.Growth*100, rc.SaveRest*100)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+	})
 }
 
 // figure1011 is the shared shape of Figures 10 and 11: 16 core integer /
@@ -161,41 +127,14 @@ func (r *Runner) figure1011(id string, load int) (*Table, error) {
 		Title: fmt.Sprintf("Speedup, %d-cycle load, 16 int / 32 fp cores, varying issue rate", load),
 		Cols:  []string{"2/noRC", "2/RC", "4/noRC", "4/RC", "8/noRC", "8/RC", "unlim-4"},
 	}
-	grid := func(bm bench.Benchmark, is int, mode regconn.RegMode) regconn.Arch {
-		return sweepArch(bm, core1632(bm), mode,
-			regconn.Arch{Issue: is, LoadLatency: load, CombineConnects: true})
-	}
-	unlArch := regconn.Arch{Issue: 4, LoadLatency: load, Mode: regconn.Unlimited}
-	var pts []point
-	for _, bm := range r.sortedBench() {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
 		for _, is := range []int{2, 4, 8} {
-			pts = append(pts, point{bm, grid(bm, is, regconn.WithoutRC)}, point{bm, grid(bm, is, regconn.WithRC)})
+			base := regconn.Arch{Issue: is, LoadLatency: load, CombineConnects: true}
+			cells = append(cells, speedups(sweepArch(bm, core1632(bm), regconn.WithoutRC, base),
+				sweepArch(bm, core1632(bm), regconn.WithRC, base))...)
 		}
-		pts = append(pts, point{bm, unlArch})
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, is := range []int{2, 4, 8} {
-			noRC, err := r.Speedup(bm, grid(bm, is, regconn.WithoutRC))
-			if err != nil {
-				return nil, err
-			}
-			rc, err := r.Speedup(bm, grid(bm, is, regconn.WithRC))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, noRC, rc)
-		}
-		unl, err := r.Speedup(bm, unlArch)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, unl)
-		t.AddRow(bm.Name, vals...)
-	}
-	t.AddMeanRow()
-	return t, nil
+		return append(cells, speedups(regconn.Arch{Issue: 4, LoadLatency: load, Mode: regconn.Unlimited})...)
+	})
 }
 
 // Figure10 is the 2-cycle-load issue-rate sweep.
@@ -213,43 +152,16 @@ func (r *Runner) Figure12() (*Table, error) {
 		Title: "Speedup by RC implementation scenario, 4-issue, 2-cycle load, 16/32 cores",
 		Cols:  []string{"0cy", "0cy+stage", "1cy", "1cy+stage", "without-RC"},
 	}
-	scenarios := []struct {
-		lat   int
-		stage bool
-	}{{0, false}, {0, true}, {1, false}, {1, true}}
-	scArch := func(bm bench.Benchmark, lat int, stage bool) regconn.Arch {
-		return archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC,
-			CombineConnects: true, ConnectLatency: lat, ExtraDecodeStage: stage})
-	}
-	noArch := func(bm bench.Benchmark) regconn.Arch {
-		return archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithoutRC})
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for _, sc := range scenarios {
-			pts = append(pts, point{bm, scArch(bm, sc.lat, sc.stage)})
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
+		for _, sc := range []struct {
+			lat   int
+			stage bool
+		}{{0, false}, {0, true}, {1, false}, {1, true}} {
+			cells = append(cells, speedups(archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC,
+				CombineConnects: true, ConnectLatency: sc.lat, ExtraDecodeStage: sc.stage}))...)
 		}
-		pts = append(pts, point{bm, noArch(bm)})
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, sc := range scenarios {
-			s, err := r.Speedup(bm, scArch(bm, sc.lat, sc.stage))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
-		}
-		noRC, err := r.Speedup(bm, noArch(bm))
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, noRC)
-		t.AddRow(bm.Name, vals...)
-	}
-	t.AddMeanRow()
-	return t, nil
+		return append(cells, speedups(archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithoutRC}))...)
+	})
 }
 
 // Figure13 compares the gain from doubling memory channels (2 to 4)
@@ -262,38 +174,30 @@ func (r *Runner) Figure13() (*Table, error) {
 		Cols:  []string{"L2/no/2ch", "L2/no/4ch", "L2/RC/2ch", "L4/no/2ch", "L4/no/4ch", "L4/RC/2ch"},
 		Notes: []string{"paper's comparison: the without-RC model gains less from 2->4 channels than from adding RC at 2 channels"},
 	}
-	cfgs := []struct {
-		mode regconn.RegMode
-		ch   int
-	}{{regconn.WithoutRC, 2}, {regconn.WithoutRC, 4}, {regconn.WithRC, 2}}
-	mkArch := func(bm bench.Benchmark, load int, mode regconn.RegMode, ch int) regconn.Arch {
-		return sweepArch(bm, core1632(bm), mode, regconn.Arch{Issue: 4, LoadLatency: load,
-			MemChannels: ch, CombineConnects: true})
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
 		for _, load := range []int{2, 4} {
-			for _, cfg := range cfgs {
-				pts = append(pts, point{bm, mkArch(bm, load, cfg.mode, cfg.ch)})
+			for _, cfg := range []struct {
+				mode regconn.RegMode
+				ch   int
+			}{{regconn.WithoutRC, 2}, {regconn.WithoutRC, 4}, {regconn.WithRC, 2}} {
+				cells = append(cells, speedups(sweepArch(bm, core1632(bm), cfg.mode, regconn.Arch{Issue: 4, LoadLatency: load,
+					MemChannels: cfg.ch, CombineConnects: true}))...)
 			}
 		}
+		return cells
+	})
+}
+
+// backendCells is the rivals row of one benchmark: the speedup under each
+// register backend at the pressured 16/32-core operating point, then the
+// unlimited-register reference.
+func backendCells(bm bench.Benchmark) []cell {
+	base := regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true}
+	var archs []regconn.Arch
+	for _, m := range []regconn.RegMode{regconn.WithoutRC, regconn.WithRC, regconn.PortReduce, regconn.Chain} {
+		archs = append(archs, sweepArch(bm, core1632(bm), m, base))
 	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, load := range []int{2, 4} {
-			for _, cfg := range cfgs {
-				s, err := r.Speedup(bm, mkArch(bm, load, cfg.mode, cfg.ch))
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, s)
-			}
-		}
-		t.AddRow(bm.Name, vals...)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return speedups(append(archs, regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.Unlimited})...)
 }
 
 // Rivals compares the five register architectures at the paper's pressured
@@ -310,35 +214,17 @@ func (r *Runner) Rivals() (*Table, error) {
 			"chain: core registers only, plus producer->consumer forwarding that elides single-use RF traffic",
 		},
 	}
-	modes := []regconn.RegMode{regconn.WithoutRC, regconn.WithRC, regconn.PortReduce, regconn.Chain}
-	base := regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true}
-	unlArch := regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.Unlimited}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for _, m := range modes {
-			pts = append(pts, point{bm, sweepArch(bm, core1632(bm), m, base)})
-		}
-		pts = append(pts, point{bm, unlArch})
+	return r.tabulate(t, true, r.sortedBench(), backendCells)
+}
+
+// speedupsAndConnects is the ablation row: the speedup at each
+// architecture, then its dynamic connect count in units of 10,000.
+func speedupsAndConnects(archs ...regconn.Arch) []cell {
+	cells := speedups(archs...)
+	for _, a := range archs {
+		cells = append(cells, stat(a, func(res *Result) float64 { return float64(res.Connects) / 10000 }))
 	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, m := range modes {
-			s, err := r.Speedup(bm, sweepArch(bm, core1632(bm), m, base))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
-		}
-		unl, err := r.Speedup(bm, unlArch)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, unl)
-		t.AddRow(bm.Name, vals...)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return cells
 }
 
 // AblationModels compares the four automatic-reset models of §2.3 under
@@ -350,35 +236,14 @@ func (r *Runner) AblationModels() (*Table, error) {
 		Cols:  []string{"m1", "m2", "m3", "m4", "m1-con", "m2-con", "m3-con", "m4-con"},
 		Notes: []string{"model 3 (write reset + read update) is the paper's choice"},
 	}
-	mkArch := func(bm bench.Benchmark, model int) regconn.Arch {
-		return archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2,
-			Mode: regconn.WithRC, CombineConnects: true, Model: modelOf(model)})
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for model := 1; model <= 4; model++ {
-			pts = append(pts, point{bm, mkArch(bm, model)})
+	return r.tabulate(t, false, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		var archs []regconn.Arch
+		for model := core.Model(1); model <= 4; model++ {
+			archs = append(archs, archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2,
+				Mode: regconn.WithRC, CombineConnects: true, Model: model}))
 		}
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var speed, conns []float64
-		for model := 1; model <= 4; model++ {
-			arch := mkArch(bm, model)
-			s, err := r.Speedup(bm, arch)
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.Run(bm, arch)
-			if err != nil {
-				return nil, err
-			}
-			speed = append(speed, s)
-			conns = append(conns, float64(res.Connects)/10000)
-		}
-		t.AddRow(bm.Name, append(speed, conns...)...)
-	}
-	return t, nil
+		return speedupsAndConnects(archs...)
+	})
 }
 
 // AblationCombined compares combined (two-pair) connect instructions
@@ -389,34 +254,13 @@ func (r *Runner) AblationCombined() (*Table, error) {
 		Title: "Combined vs single connect instructions (§2.2)",
 		Cols:  []string{"combined", "single", "comb-con", "sing-con"},
 	}
-	mkArch := func(bm bench.Benchmark, combine bool) regconn.Arch {
-		return archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2,
-			Mode: regconn.WithRC, CombineConnects: combine})
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		pts = append(pts, point{bm, mkArch(bm, true)}, point{bm, mkArch(bm, false)})
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		var cons []float64
-		for _, combine := range []bool{true, false} {
-			arch := mkArch(bm, combine)
-			s, err := r.Speedup(bm, arch)
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.Run(bm, arch)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
-			cons = append(cons, float64(res.Connects)/10000)
+	return r.tabulate(t, false, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		mkArch := func(combine bool) regconn.Arch {
+			return archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2,
+				Mode: regconn.WithRC, CombineConnects: combine})
 		}
-		t.AddRow(bm.Name, append(vals, cons...)...)
-	}
-	return t, nil
+		return speedupsAndConnects(mkArch(true), mkArch(false))
+	})
 }
 
 // AblationWindows compares connect-window selection policies (§3: the map
@@ -428,36 +272,14 @@ func (r *Runner) AblationWindows() (*Table, error) {
 		Title: "Connect-window policy (§3): speedup | dynamic connects (x0.01M), 4-issue, 16/32 cores",
 		Cols:  []string{"lru", "rrobin", "first", "lru-con", "rrobin-con", "first-con"},
 	}
-	policies := []regconn.WindowPolicy{regconn.WindowLRU, regconn.WindowRoundRobin, regconn.WindowFirstFree}
-	mkArch := func(bm bench.Benchmark, pol regconn.WindowPolicy) regconn.Arch {
-		return archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2,
-			Mode: regconn.WithRC, CombineConnects: true, Windows: pol})
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for _, pol := range policies {
-			pts = append(pts, point{bm, mkArch(bm, pol)})
+	return r.tabulate(t, false, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		var archs []regconn.Arch
+		for _, pol := range []regconn.WindowPolicy{regconn.WindowLRU, regconn.WindowRoundRobin, regconn.WindowFirstFree} {
+			archs = append(archs, archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2,
+				Mode: regconn.WithRC, CombineConnects: true, Windows: pol}))
 		}
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var speed, cons []float64
-		for _, pol := range policies {
-			arch := mkArch(bm, pol)
-			s, err := r.Speedup(bm, arch)
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.Run(bm, arch)
-			if err != nil {
-				return nil, err
-			}
-			speed = append(speed, s)
-			cons = append(cons, float64(res.Connects)/10000)
-		}
-		t.AddRow(bm.Name, append(speed, cons...)...)
-	}
-	return t, nil
+		return speedupsAndConnects(archs...)
+	})
 }
 
 // core1632 is the paper's pressured operating point: 16 integer or 32
@@ -468,5 +290,3 @@ func core1632(bm bench.Benchmark) int {
 	}
 	return 16
 }
-
-func modelOf(n int) core.Model { return core.Model(n) }

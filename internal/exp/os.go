@@ -9,8 +9,6 @@ import (
 	"regconn/internal/regalloc"
 )
 
-type benchLike = bench.Benchmark
-
 // AblationPressure quantifies the paper's premise (§1): ILP optimization
 // increases the register requirement. For each benchmark it reports the
 // maximum number of simultaneously live virtual registers (of the
@@ -82,35 +80,15 @@ func (r *Runner) AblationAccum() (*Table, error) {
 		Cols:  []string{"rc/off", "rc/on", "unl/off", "unl/on"},
 		Notes: []string{"expansion raises reduction ILP but also register pressure; profitable only with registers to spare"},
 	}
-	archsOf := func(bm benchLike) []regconn.Arch {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) []cell {
 		core := core1632(bm)
-		return []regconn.Arch{
+		return speedups(
 			archFor(bm, core, regconn.Arch{Issue: 8, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true}),
 			archFor(bm, core, regconn.Arch{Issue: 8, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, ExpandAccumulators: true}),
-			{Issue: 8, LoadLatency: 2, Mode: regconn.Unlimited},
-			{Issue: 8, LoadLatency: 2, Mode: regconn.Unlimited, ExpandAccumulators: true},
-		}
-	}
-	var pts []point
-	for _, bm := range r.sortedBench() {
-		for _, cfg := range archsOf(bm) {
-			pts = append(pts, point{bm, cfg})
-		}
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, cfg := range archsOf(bm) {
-			s, err := r.Speedup(bm, cfg)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
-		}
-		t.AddRow(bm.Name, vals...)
-	}
-	t.AddMeanRow()
-	return t, nil
+			regconn.Arch{Issue: 8, LoadLatency: 2, Mode: regconn.Unlimited},
+			regconn.Arch{Issue: 8, LoadLatency: 2, Mode: regconn.Unlimited, ExpandAccumulators: true},
+		)
+	})
 }
 
 // AblationOS quantifies the operating-system costs discussed in paper
@@ -130,73 +108,38 @@ func (r *Runner) AblationOS() (*Table, error) {
 			"trap/naive: handler saves/connects/restores a map entry per register",
 		},
 	}
-	overheadPct := func(bm benchLike, arch regconn.Arch) (float64, error) {
-		arch.Verify = true
-		ex, err := regconn.Build(bm.Build(), arch)
-		if err != nil {
-			return 0, err
+	return r.tabulate(t, false, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		// overhead reads the share of cycles spent in trap handlers and
+		// context switches; a point whose traps never fired measures nothing.
+		overhead := func(a regconn.Arch) cell {
+			return cell{a, func(res *Result) (float64, error) {
+				if res.Stats.Traps == 0 {
+					return 0, fmt.Errorf("%s: no traps fired", bm.Name)
+				}
+				return 100 * float64(res.Stats.Ledger.TrapOverhead) / float64(res.Cycles), nil
+			}}
 		}
-		res, err := ex.Verify()
-		if err != nil {
-			return 0, err
-		}
-		if res.Traps == 0 {
-			return 0, fmt.Errorf("%s: no traps fired", bm.Name)
-		}
-		return 100 * float64(res.TrapOverheads) / float64(res.Cycles), nil
-	}
-	archsOf := func(bm benchLike) []regconn.Arch {
 		core := core1632(bm)
 		rcArch := archFor(bm, core, regconn.Arch{Issue: 4, LoadLatency: 2,
 			Mode: regconn.WithRC, CombineConnects: true})
 		origArch := archFor(bm, core, regconn.Arch{Issue: 4, LoadLatency: 2,
 			Mode: regconn.WithoutRC})
 
-		mkSwitch := func(base regconn.Arch, pswFlag bool) regconn.Arch {
+		mkSwitch := func(base regconn.Arch, pswFlag bool) cell {
 			base.Trap = regconn.TrapConfig{Interval: 10000, ContextSwitch: true, PSWFlag: pswFlag}
-			return base
+			return overhead(base)
 		}
-		mkTrap := func(base regconn.Arch, flag bool) regconn.Arch {
+		mkTrap := func(base regconn.Arch, flag bool) cell {
 			base.Trap = regconn.TrapConfig{Interval: 2000, HandlerCycles: 30,
 				HandlerRegs: 8, UseEnableFlag: flag}
-			return base
+			return overhead(base)
 		}
-		return []regconn.Arch{
+		return []cell{
 			mkSwitch(origArch, true),
 			mkSwitch(rcArch, true),
 			mkSwitch(origArch, false),
 			mkTrap(rcArch, true),
 			mkTrap(rcArch, false),
 		}
-	}
-
-	// These points carry trap configs the memo cache never sees elsewhere,
-	// so fan the bm×arch grid out directly rather than through warm.
-	bms := r.sortedBench()
-	type job struct{ i, j int }
-	var jobs []job
-	vals := make([][]float64, len(bms))
-	errs := make([][]error, len(bms))
-	for i, bm := range bms {
-		n := len(archsOf(bm))
-		vals[i] = make([]float64, n)
-		errs[i] = make([]error, n)
-		for j := 0; j < n; j++ {
-			jobs = append(jobs, job{i, j})
-		}
-	}
-	r.forAll(len(jobs), func(k int) {
-		jb := jobs[k]
-		bm := bms[jb.i]
-		vals[jb.i][jb.j], errs[jb.i][jb.j] = overheadPct(bm, archsOf(bm)[jb.j])
 	})
-	for i, bm := range bms {
-		for _, err := range errs[i] {
-			if err != nil {
-				return nil, err
-			}
-		}
-		t.AddRow(bm.Name, vals[i]...)
-	}
-	return t, nil
 }

@@ -16,7 +16,7 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 	par.Workers = 4
 	seq := NewQuickRunner()
 	seq.Workers = 1
-	// fig7/fig13 go through the warm prepass; os fans out directly.
+	// Every experiment, os included, goes through the grid evaluator.
 	for _, id := range []string{"fig7", "fig13", "os"} {
 		pt, err := par.Generate(id)
 		if err != nil {
@@ -32,22 +32,28 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestWarmCollapsesDuplicates: concurrent requests for one point must run
-// the simulation once (the cache is singleflight, not just memoizing).
+// TestWarmCollapsesDuplicates: cells naming one point, evaluated on a wide
+// worker pool, must simulate it once — the evaluator's first pass warms
+// the memo with each distinct point exactly once.
 func TestWarmCollapsesDuplicates(t *testing.T) {
 	r := NewQuickRunner()
 	r.Workers = 8
+	sc := stubRunPoint(r, nil)
 	bm := r.Benchmarks[0]
-	arch := regconn.Baseline()
-	pts := make([]point, 16)
-	for i := range pts {
-		pts[i] = point{bm, arch}
+	var rows []row
+	for i := 0; i < 4; i++ {
+		rows = append(rows, row{bm.Name, bm, speedups(regconn.Baseline(), regconn.Baseline(), regconn.Baseline(), regconn.Baseline())})
 	}
-	r.warm(pts)
+	if _, err := r.eval(rows); err != nil {
+		t.Fatal(err)
+	}
 	r.mu.Lock()
 	n := len(r.done)
 	r.mu.Unlock()
 	if n != 1 {
-		t.Errorf("memo holds %d entries after warming one duplicated point, want 1", n)
+		t.Errorf("memo holds %d entries after 16 cells naming one point, want 1", n)
+	}
+	if calls := sc.calls[key(bm.Name, regconn.Baseline())]; len(sc.calls) != 1 || calls != 1 {
+		t.Errorf("runPoint ran %d distinct points, the named one %d times; want 1 and 1", len(sc.calls), calls)
 	}
 }

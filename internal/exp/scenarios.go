@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"regconn"
 	"regconn/internal/bench"
 	"regconn/internal/workload"
 )
@@ -67,33 +66,5 @@ func (r *Runner) Scenarios(cfg ScenarioConfig) (*Table, error) {
 			"rows are seeded scenario-generator workloads (internal/workload); every point is oracle- and ledger-checked",
 		},
 	}
-	modes := []regconn.RegMode{regconn.WithoutRC, regconn.WithRC, regconn.PortReduce, regconn.Chain}
-	base := regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true}
-	unlArch := regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.Unlimited}
-	var pts []point
-	for _, bm := range bms {
-		for _, m := range modes {
-			pts = append(pts, point{bm, sweepArch(bm, core1632(bm), m, base)})
-		}
-		pts = append(pts, point{bm, unlArch})
-	}
-	r.warmSpeedups(pts)
-	for _, bm := range bms {
-		var vals []float64
-		for _, m := range modes {
-			s, err := r.Speedup(bm, sweepArch(bm, core1632(bm), m, base))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, s)
-		}
-		unl, err := r.Speedup(bm, unlArch)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, unl)
-		t.AddRow(bm.Name, vals...)
-	}
-	t.AddMeanRow()
-	return t, nil
+	return r.tabulate(t, true, bms, backendCells)
 }

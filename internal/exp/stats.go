@@ -44,44 +44,26 @@ type PointStats struct {
 // StatsReport simulates every golden benchmark×config point of the
 // runner's suite and returns full cycle-ledger statistics per point —
 // stall breakdown, issue-slot utilization histogram, and map-table
-// telemetry — verifying the ledger invariant on each. It is the
-// machine-readable counterpart of the golden file, fanned out across the
-// runner's worker pool.
+// telemetry. It is the machine-readable counterpart of the golden file:
+// its points go through Runner.Run like any experiment's, so each is
+// checked against the interpreter oracle, the checksum and the ledger
+// invariant.
 func (r *Runner) StatsReport() ([]PointStats, error) {
-	type job struct {
-		bm bench.Benchmark
-		lc LedgerConfig
-	}
-	var jobs []job
+	var out []PointStats
+	var pts []point
 	for _, bm := range r.sortedBench() {
 		for _, lc := range LedgerConfigs(bm) {
-			jobs = append(jobs, job{bm, lc})
+			out = append(out, PointStats{Benchmark: bm.Name, Config: lc.Name})
+			pts = append(pts, point{bm, lc.Arch})
 		}
 	}
-	out := make([]PointStats, len(jobs))
-	errs := make([]error, len(jobs))
-	r.forAll(len(jobs), func(i int) {
-		jb := jobs[i]
-		ex, err := regconn.Build(jb.bm.Build(), jb.lc.Arch)
+	r.prefetch(pts)
+	for i, p := range pts {
+		res, err := r.Run(p.bm, p.arch)
 		if err != nil {
-			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-			return
+			return nil, fmt.Errorf("%s/%s: %w", p.bm.Name, out[i].Config, err)
 		}
-		res, err := ex.Run()
-		if err != nil {
-			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-			return
-		}
-		if err := res.CheckLedger(); err != nil {
-			errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-			return
-		}
-		out[i] = PointStats{Benchmark: jb.bm.Name, Config: jb.lc.Name, Stats: res.Stats()}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		out[i].Stats = res.Stats
 	}
 	return out, nil
 }

@@ -136,7 +136,7 @@ func stubExperiment(t *testing.T, id string, workers int) string {
 // with `go test ./internal/exp -run StubbedFigures -update`.
 func TestStubbedFigures(t *testing.T) {
 	ids := []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"rivals", "models", "combined", "windows", "accum", "scenarios"}
+		"rivals", "models", "combined", "windows", "os", "accum", "scenarios"}
 	var got strings.Builder
 	for _, id := range ids {
 		seq := stubExperiment(t, id, 1)
