@@ -432,22 +432,20 @@ func (src pointSource) label() string {
 	}
 }
 
-// point answers one (benchmark, arch) coordinate: LRU, then the
-// persistent store, then singleflight, then a worker slot, then the
-// simulation. It returns the response bytes and their source. Every
-// route into a point — /v1/run and each /v1/sweep job alike — comes
+// resolve answers one keyed point: LRU, then the persistent store, then
+// singleflight, then a worker slot, then compute. It returns the response
+// bytes and their source. Every route into a point — /v1/run and each
+// /v1/sweep job through point, /v1/replay through replayPoint — comes
 // through here, so the deferred observe covers per-point latency and the
-// source counters uniformly, and the span tree (when the request is
-// traced) records each stage.
-func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch) (body []byte, src pointSource, err error) {
-	// Canonicalize before keying so the cached response body names the
-	// point the same way the key hashes it, whichever spelling (Backend
-	// name or legacy Mode number) the client used.
-	arch = arch.Canonical()
-	k := Key(bm.Name, arch)
+// source counters uniformly under the endpoint and arch's backend labels,
+// and the span tree (when the request is traced) records each stage.
+// compute runs in the flight owner alone, under the flight's child span
+// named sim; the JSON encoding of the value it returns is what is cached.
+func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch regconn.Arch, sim string,
+	compute func(ctx context.Context) (any, error)) (body []byte, src pointSource, err error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "point")
-	span.Set("benchmark", bm.Name).Set("key", k).Set("backend", backendLabel(arch))
+	span.Set("benchmark", name).Set("key", k).Set("backend", backendLabel(arch))
 	defer func() {
 		span.Set("cache", src.String()).End()
 		s.met.observe(endpoint, arch, src, time.Since(start))
@@ -470,7 +468,7 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 		}
 	}
 	// The flight span covers the whole wait; only the owner's closure
-	// runs, so the simulate/store.append children attach to exactly one
+	// runs, so the sim/store.append children attach to exactly one
 	// request's tree — the owner's.
 	fl := span.Child("flight")
 	val, err, shared := s.flights.Do(ctx, k, func(fctx context.Context) ([]byte, error) {
@@ -482,15 +480,13 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 		defer func() { <-s.sem }()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
-		sim := fl.Child("simulate")
-		res, err := exp.RunPoint(obs.NewContext(fctx, sim), bm, arch)
+		sp := fl.Child(sim)
+		resp, err := compute(obs.NewContext(fctx, sp))
+		sp.End()
 		if err != nil {
-			sim.End()
 			return nil, err
 		}
-		sim.Set("cycles", res.Cycles).Set("instrs", res.Instrs)
-		sim.End()
-		b, err := json.Marshal(RunResponse{Benchmark: bm.Name, Arch: arch, Key: k, Result: res})
+		b, err := json.Marshal(resp)
 		if err != nil {
 			return nil, err
 		}
@@ -515,6 +511,24 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 	}
 	fl.Set("role", "own").End()
 	return val, srcMiss, err
+}
+
+// point answers one (benchmark, arch) coordinate through resolve; a miss
+// is simulated by exp.RunPoint under a "simulate" span.
+func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch) ([]byte, pointSource, error) {
+	// Canonicalize before keying so the cached response body names the
+	// point the same way the key hashes it, whichever spelling (Backend
+	// name or legacy Mode number) the client used.
+	arch = arch.Canonical()
+	k := Key(bm.Name, arch)
+	return s.resolve(ctx, endpoint, bm.Name, k, arch, "simulate", func(ctx context.Context) (any, error) {
+		res, err := exp.RunPoint(ctx, bm, arch)
+		if err != nil {
+			return nil, err
+		}
+		obs.FromContext(ctx).Set("cycles", res.Cycles).Set("instrs", res.Instrs)
+		return RunResponse{Benchmark: bm.Name, Arch: arch, Key: k, Result: res}, nil
+	})
 }
 
 // requestContext applies the per-request deadline: the server default,
@@ -618,76 +632,23 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// replayPoint is point's twin for trace replays: same LRU → store →
-// flight → worker-slot path, but the simulation is Trace.Replay — the
-// recorded configuration fed straight to the machine, verified against
-// the trace's recorded oracle outcome and cycle counts.
-func (s *Server) replayPoint(ctx context.Context, tr *workload.Trace, k string) (body []byte, src pointSource, err error) {
+// replayPoint answers a trace replay through resolve; a miss runs
+// Trace.Replay under a "replay" span — the recorded configuration fed
+// straight to the machine, verified against the trace's recorded oracle
+// outcome and cycle counts.
+func (s *Server) replayPoint(ctx context.Context, tr *workload.Trace, k string) ([]byte, pointSource, error) {
 	// The recorded arch JSON is the canonical regconn.Arch encoding;
 	// decoded here only to label metrics and spans.
 	var arch regconn.Arch
 	_ = json.Unmarshal(tr.Arch, &arch)
-	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "point")
-	span.Set("benchmark", tr.Name).Set("key", k).Set("backend", backendLabel(arch))
-	defer func() {
-		span.Set("cache", src.String()).End()
-		s.met.observe("replay", arch, src, time.Since(start))
-	}()
-	lk := span.Child("cache.lookup")
-	b, ok := s.cache.get(k)
-	lk.End()
-	if ok {
-		return b, srcHit, nil
-	}
-	if s.store != nil {
-		rd := span.Child("store.read")
-		b, ok := s.store.Get(k)
-		rd.End()
-		if ok {
-			s.cache.put(k, b)
-			return b, srcHit, nil
-		}
-	}
-	fl := span.Child("flight")
-	val, err, shared := s.flights.Do(ctx, k, func(fctx context.Context) ([]byte, error) {
-		select {
-		case s.sem <- struct{}{}:
-		case <-fctx.Done():
-			return nil, context.Cause(fctx)
-		}
-		defer func() { <-s.sem }()
-		s.met.inflight.Add(1)
-		defer s.met.inflight.Add(-1)
-		sim := fl.Child("replay")
-		res, err := tr.Replay(obs.NewContext(fctx, sim))
-		if err != nil {
-			sim.End()
-			return nil, err
-		}
-		sim.Set("cycles", res.Cycles).Set("instrs", res.Instrs)
-		sim.End()
-		b, err := json.Marshal(ReplayResponse{Name: tr.Name, Key: k, Arch: tr.Arch, Ret: res.RetInt, Stats: res.Stats()})
+	return s.resolve(ctx, "replay", tr.Name, k, arch, "replay", func(ctx context.Context) (any, error) {
+		res, err := tr.Replay(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if s.store != nil {
-			ap := fl.Child("store.append")
-			perr := s.store.Put(k, b)
-			ap.End()
-			if perr != nil {
-				s.met.storeErrors.Inc()
-			}
-		}
-		s.cache.put(k, b)
-		return b, nil
+		obs.FromContext(ctx).Set("cycles", res.Cycles).Set("instrs", res.Instrs)
+		return ReplayResponse{Name: tr.Name, Key: k, Arch: tr.Arch, Ret: res.RetInt, Stats: res.Stats()}, nil
 	})
-	if shared {
-		fl.Set("role", "join").End()
-		return val, srcCoalesced, err
-	}
-	fl.Set("role", "own").End()
-	return val, srcMiss, err
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
