@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	rcdis -bench grep [-func main] [-mode rc|spill|unlimited]
+//	rcdis -bench grep [-func main] [-mode rc|spill|unlimited|portreduce|chain]
 //	      [-intcore 16] [-fpcore 32] [-issue 4] [-model 3]
 package main
 
@@ -16,8 +16,8 @@ import (
 	"strings"
 
 	"regconn"
-	"regconn/internal/bench"
 	"regconn/internal/cli"
+	"regconn/internal/workload"
 )
 
 func main() {
@@ -29,9 +29,9 @@ func main() {
 
 func run() error {
 	var (
-		bmName  = flag.String("bench", "grep", "benchmark name")
+		bmName  = flag.String("bench", "grep", "benchmark name or generated workload (gen/<profile>/<seed>)")
 		fnName  = flag.String("func", "", "only this function (default: all)")
-		mode    = flag.String("mode", "rc", "register mode: rc, spill, unlimited")
+		mode    = flag.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
 		intCore = flag.Int("intcore", 16, "core integer registers")
 		fpCore  = flag.Int("fpcore", 32, "core floating-point registers")
 		issue   = flag.Int("issue", 4, "issue rate")
@@ -39,7 +39,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	bm, err := bench.ByName(*bmName)
+	bm, err := workload.ByName(*bmName)
 	if err != nil {
 		return err
 	}

@@ -33,6 +33,7 @@ import (
 	"regconn/internal/bench"
 	"regconn/internal/core"
 	"regconn/internal/mapcheck"
+	"regconn/internal/workload"
 )
 
 type point struct {
@@ -74,7 +75,7 @@ func main() {
 
 func run() error {
 	var (
-		bmList  = flag.String("bench", "all", "benchmarks to sweep (comma list, or 'all')")
+		bmList  = flag.String("bench", "all", "benchmarks or gen/<profile>/<seed> workloads to sweep (comma list, or 'all')")
 		beList  = flag.String("backends", "all", "backends to sweep (comma list of registry names, or 'all')")
 		issues  = flag.String("issue", "1,4,8", "issue rates to sweep (comma list)")
 		intCore = flag.Int("intcore", 16, "core integer registers")
@@ -252,7 +253,7 @@ func selectBenchmarks(list string) ([]bench.Benchmark, error) {
 	}
 	var out []bench.Benchmark
 	for _, name := range strings.Split(list, ",") {
-		bm, err := bench.ByName(strings.TrimSpace(name))
+		bm, err := workload.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}

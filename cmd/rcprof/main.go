@@ -8,7 +8,7 @@
 // Usage:
 //
 //	rcprof -bench grep [-issue 4] [-load 2] [-channels 0] [-intcore 16]
-//	       [-fpcore 32] [-mode rc|spill|unlimited] [-model 3]
+//	       [-fpcore 32] [-mode rc|spill|unlimited|portreduce|chain] [-model 3]
 //	       [-connect-latency 0] [-no-combine] [-scalar] [-top 20]
 //	rcprof -bench grep -models              connect overhead across the 4 reset models
 //	rcprof -bench grep -trace-json t.json   Chrome trace-event export (chrome://tracing)
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"text/tabwriter"
 
@@ -34,6 +35,7 @@ import (
 	"regconn/internal/exp"
 	"regconn/internal/machine"
 	"regconn/internal/prof"
+	"regconn/internal/workload"
 )
 
 func main() {
@@ -45,13 +47,13 @@ func main() {
 
 func run() error {
 	var (
-		bmName    = flag.String("bench", "grep", "benchmark name")
+		bmName    = flag.String("bench", "grep", "benchmark name or generated workload (gen/<profile>/<seed>)")
 		issue     = flag.Int("issue", 4, "issue rate (1/2/4/8)")
 		load      = flag.Int("load", 2, "load latency in cycles (2 or 4)")
 		channels  = flag.Int("channels", 0, "memory channels (0 = paper default)")
 		intCore   = flag.Int("intcore", 16, "core integer registers")
 		fpCore    = flag.Int("fpcore", 32, "core floating-point registers")
-		mode      = flag.String("mode", "rc", "register mode: rc, spill, unlimited")
+		mode      = flag.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
 		model     = flag.Int("model", 3, "RC automatic-reset model 1..4")
 		connLat   = flag.Int("connect-latency", 0, "connect latency (0 or 1)")
 		noComb    = flag.Bool("no-combine", false, "disable combined connects")
@@ -70,7 +72,7 @@ func run() error {
 		return runGrid(*quick, *workers)
 	}
 
-	bm, err := bench.ByName(*bmName)
+	bm, err := workload.ByName(*bmName)
 	if err != nil {
 		return err
 	}

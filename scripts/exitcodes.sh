@@ -12,7 +12,7 @@ GO=${GO:-go}
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT INT TERM
 
-if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof; then
+if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis; then
     echo "exitcodes: build failed" >&2
     exit 1
 fi
@@ -88,6 +88,11 @@ expect 0 "$BIN/rcrun" -bench gen/mixed/0
 expect 0 "$BIN/rcrun" -bench gen/mixed/0 -emit-trace "$BIN/t.rctrace"
 expect 0 "$BIN/rcgen" replay "$BIN/t.rctrace"
 
+# Generated workload names work in every tool that takes -bench.
+expect 0 "$BIN/rcprof" -bench gen/mixed/0
+expect 0 "$BIN/rcdis" -bench gen/mixed/0
+expect 0 "$BIN/rclint" -bench gen/mixed/0 -quick
+
 # rcgen: usage errors exit non-zero; list/emit/info/replay/smoke succeed
 # on valid inputs, and corrupt traces are rejected.
 expect 2 "$BIN/rcgen"
@@ -137,6 +142,11 @@ expect 1 "$BIN/rcexp" -quick -exp nosuchfigure
 expect 1 "$BIN/rcexp" -quick -bench nosuchbench
 expect 0 "$BIN/rcexp" -quick -bench grep -exp table1
 expect 0 "$BIN/rcexp" -quick -bench grep -exp table1 -format csv
+
+# The os ablation and the -stats export run their points through the
+# experiment runner (oracle, checksum and ledger checked on every point).
+expect 0 "$BIN/rcexp" -quick -bench cmp -exp os
+expect 0 "$BIN/rcexp" -quick -bench cmp -stats
 
 # rcexp scenarios: bad profiles and seed lists fail; a bounded scenario
 # run (one profile, one seed) succeeds, and generated workloads work as
