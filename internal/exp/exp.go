@@ -335,20 +335,25 @@ func (r *Runner) prefetch(pts []point) {
 			uniq = append(uniq, p)
 		}
 	}
-	var next, done atomic.Int64
+	work := make(chan point)
+	var done atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(r.workers(), len(uniq)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(uniq); i = int(next.Add(1)) - 1 {
-				_, _ = r.Run(uniq[i].bm, uniq[i].arch)
+			for p := range work {
+				_, _ = r.Run(p.bm, p.arch)
 				if r.Progress != nil {
 					r.Progress(int(done.Add(1)), len(uniq))
 				}
 			}
 		}()
 	}
+	for _, p := range uniq {
+		work <- p
+	}
+	close(work)
 	wg.Wait()
 }
 

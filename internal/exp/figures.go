@@ -43,11 +43,12 @@ func (r *Runner) Figure7() (*Table, error) {
 		Notes: []string{"2 memory channels for 1/2/4-issue, 4 for 8-issue (§5.2)",
 			"baseline: 1-issue, unlimited registers, scalar optimization only"},
 	}
-	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		var archs []regconn.Arch
 		for _, is := range []int{1, 2, 4, 8} {
-			cells = append(cells, speedups(regconn.Arch{Issue: is, LoadLatency: 2, Mode: regconn.Unlimited})...)
+			archs = append(archs, regconn.Arch{Issue: is, LoadLatency: 2, Mode: regconn.Unlimited})
 		}
-		return cells
+		return speedups(archs...)
 	})
 }
 
@@ -127,13 +128,14 @@ func (r *Runner) figure1011(id string, load int) (*Table, error) {
 		Title: fmt.Sprintf("Speedup, %d-cycle load, 16 int / 32 fp cores, varying issue rate", load),
 		Cols:  []string{"2/noRC", "2/RC", "4/noRC", "4/RC", "8/noRC", "8/RC", "unlim-4"},
 	}
-	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		var archs []regconn.Arch
 		for _, is := range []int{2, 4, 8} {
 			base := regconn.Arch{Issue: is, LoadLatency: load, CombineConnects: true}
-			cells = append(cells, speedups(sweepArch(bm, core1632(bm), regconn.WithoutRC, base),
-				sweepArch(bm, core1632(bm), regconn.WithRC, base))...)
+			archs = append(archs, sweepArch(bm, core1632(bm), regconn.WithoutRC, base),
+				sweepArch(bm, core1632(bm), regconn.WithRC, base))
 		}
-		return append(cells, speedups(regconn.Arch{Issue: 4, LoadLatency: load, Mode: regconn.Unlimited})...)
+		return speedups(append(archs, regconn.Arch{Issue: 4, LoadLatency: load, Mode: regconn.Unlimited})...)
 	})
 }
 
@@ -152,15 +154,16 @@ func (r *Runner) Figure12() (*Table, error) {
 		Title: "Speedup by RC implementation scenario, 4-issue, 2-cycle load, 16/32 cores",
 		Cols:  []string{"0cy", "0cy+stage", "1cy", "1cy+stage", "without-RC"},
 	}
-	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		var archs []regconn.Arch
 		for _, sc := range []struct {
 			lat   int
 			stage bool
 		}{{0, false}, {0, true}, {1, false}, {1, true}} {
-			cells = append(cells, speedups(archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC,
-				CombineConnects: true, ConnectLatency: sc.lat, ExtraDecodeStage: sc.stage}))...)
+			archs = append(archs, archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC,
+				CombineConnects: true, ConnectLatency: sc.lat, ExtraDecodeStage: sc.stage}))
 		}
-		return append(cells, speedups(archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithoutRC}))...)
+		return speedups(append(archs, archFor(bm, core1632(bm), regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithoutRC}))...)
 	})
 }
 
@@ -174,17 +177,18 @@ func (r *Runner) Figure13() (*Table, error) {
 		Cols:  []string{"L2/no/2ch", "L2/no/4ch", "L2/RC/2ch", "L4/no/2ch", "L4/no/4ch", "L4/RC/2ch"},
 		Notes: []string{"paper's comparison: the without-RC model gains less from 2->4 channels than from adding RC at 2 channels"},
 	}
-	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) (cells []cell) {
+	return r.tabulate(t, true, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		var archs []regconn.Arch
 		for _, load := range []int{2, 4} {
 			for _, cfg := range []struct {
 				mode regconn.RegMode
 				ch   int
 			}{{regconn.WithoutRC, 2}, {regconn.WithoutRC, 4}, {regconn.WithRC, 2}} {
-				cells = append(cells, speedups(sweepArch(bm, core1632(bm), cfg.mode, regconn.Arch{Issue: 4, LoadLatency: load,
-					MemChannels: cfg.ch, CombineConnects: true}))...)
+				archs = append(archs, sweepArch(bm, core1632(bm), cfg.mode, regconn.Arch{Issue: 4, LoadLatency: load,
+					MemChannels: cfg.ch, CombineConnects: true}))
 			}
 		}
-		return cells
+		return speedups(archs...)
 	})
 }
 

@@ -190,3 +190,15 @@ func TestFirstErrorInRowOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestOSRequiresTraps: an os cell whose point fired no traps is an error,
+// not a zero overhead.
+func TestOSRequiresTraps(t *testing.T) {
+	r := NewQuickRunner()
+	r.runPoint = func(context.Context, bench.Benchmark, regconn.Arch) (*Result, error) {
+		return &Result{Cycles: 100}, nil
+	}
+	if _, err := r.Generate("os"); err == nil || !strings.Contains(err.Error(), "no traps fired") {
+		t.Errorf("os with no traps: error %v, want \"no traps fired\"", err)
+	}
+}
