@@ -19,7 +19,8 @@
 // per-benchmark figures 8 and 9). -stats skips the tables and instead
 // emits a JSON array of per-point cycle-ledger statistics (stall
 // breakdown, issue-slot histogram, map-table telemetry) over the golden
-// benchmark×config grid, verifying the ledger invariant on every point.
+// benchmark×config grid, checking every point against the interpreter
+// oracle and the ledger invariant like any experiment point.
 // -cpuprofile / -memprofile write runtime/pprof profiles of the sweep
 // itself (the simulator's host cost, not simulated cycles) for `go tool
 // pprof`; see DESIGN.md §10 for a profiling case study.
@@ -92,7 +93,7 @@ func main() {
 		stats      = flag.Bool("stats", false, "emit per-point cycle-ledger statistics as JSON")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to FILE")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to FILE")
-		progress   = flag.Bool("progress", false, "report warm-pass sweep progress on stderr")
+		progress   = flag.Bool("progress", false, "report sweep progress on stderr, one line per distinct point")
 		profile    = flag.String("profile", "", "scenario profiles, comma-separated or 'all' (implies -exp scenarios)")
 		seeds      = flag.String("seeds", "", "scenario seeds, comma-separated with ranges, e.g. 0,1,2 or 0-9 (implies -exp scenarios)")
 	)

@@ -57,7 +57,8 @@ func (r *Runner) Figure7() (*Table, error) {
 // 4-issue, 2-cycle-load without-RC and with-RC points, then one row of the
 // tail cells when tail is set; mk turns each benchmark's rows into its
 // table.
-func (r *Runner) coreTables(of func(noRC, rc regconn.Arch) []cell, tail []cell, mk func(bm bench.Benchmark, rows []Row) *Table) ([]*Table, error) {
+func (r *Runner) coreTables(of func(noRC, rc regconn.Arch) []cell, tail []cell,
+	mk func(bm bench.Benchmark, rows []Row) *Table) ([]*Table, error) {
 	base := regconn.Arch{Issue: 4, LoadLatency: 2, CombineConnects: true}
 	var rows []row
 	for _, bm := range r.sortedBench() {

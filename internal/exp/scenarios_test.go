@@ -17,9 +17,9 @@ func scenarioTestConfig() ScenarioConfig {
 // TestScenariosParallelMatchesSequential is the workload determinism pin
 // at the experiment level: the same {profile, seed} set must produce a
 // bit-identical scenarios table whether points run through the pooled
-// worker fan-out (warm prepass, per-worker run arenas) or strictly one at
-// a time. Run with -race to also exercise the generator under the
-// concurrent warm pass.
+// worker fan-out (the evaluator's first pass, per-worker run arenas) or
+// strictly one at a time. Run with -race to also exercise the generator
+// under that concurrent pass.
 func TestScenariosParallelMatchesSequential(t *testing.T) {
 	par := NewRunner()
 	par.Workers = 4
