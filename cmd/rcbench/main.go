@@ -16,16 +16,18 @@
 // number reports the steady-state sweep cost (DESIGN.md §13), not
 // compile+allocate cost. The same loop counts heap allocations, and the
 // report records allocs per run and per simulated cycle — the arena
-// contract says both are zero. -gate performs only that allocation
-// measurement and exits nonzero if the steady state allocates (the
-// `make verify` hook, see scripts/benchgate.sh). -quick uses the reduced
-// three-benchmark suite for everything. The report also embeds the
+// contract says both are zero. -gate performs only the allocation checks
+// and exits nonzero if the steady state allocates, or if one cold point (a
+// Build plus a verified run on a fresh arena) allocates coldGateMiB or
+// more: the `make verify` hook, see scripts/benchgate.sh. -quick uses the
+// reduced three-benchmark suite for everything. The report also embeds the
 // cycle-ledger statistics of the throughput benchmark at the paper's
 // center configuration (stall breakdown, issue-slot histogram, map-table
 // telemetry) so future changes can diff the attribution.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -123,6 +125,14 @@ func run() (err error) {
 	}
 
 	if *gate {
+		cold, err := measureColdAlloc(newRunner())
+		if err != nil {
+			return err
+		}
+		coldMiB := float64(cold) / (1 << 20)
+		if coldMiB >= coldGateMiB {
+			return fmt.Errorf("cold build+verify allocates %.1f MiB, want under %d MiB", coldMiB, coldGateMiB)
+		}
 		m, err := measureSteadyState(newRunner(), 8)
 		if err != nil {
 			return err
@@ -133,8 +143,8 @@ func run() (err error) {
 			return fmt.Errorf("steady-state arena run allocates: %.1f allocs/run (%.2g allocs/cycle), want 0",
 				m.allocsPerRun, m.allocsPerCycle)
 		}
-		fmt.Printf("rcbench: steady state clean: 0 allocs/run over %d warm runs (%.2fM sim-instrs/s)\n",
-			m.reps, m.instrsPerSec/1e6)
+		fmt.Printf("rcbench: steady state clean: 0 allocs/run over %d warm runs (%.2fM sim-instrs/s); cold build+verify %.1f MiB (limit %d)\n",
+			m.reps, m.instrsPerSec/1e6, coldMiB, coldGateMiB)
 		return nil
 	}
 	timeIDs := func(ids ...string) (float64, error) {
@@ -200,16 +210,44 @@ type steadyState struct {
 	stats          machine.Stats
 }
 
-// measureSteadyState builds the runner's first benchmark at the paper's
-// center configuration, warms a run arena, then resimulates it reps times
-// counting wall time and heap allocations (runtime.MemStats.Mallocs
-// delta). The warm-up run pays the one-time arena growth so the counted
-// reps see the steady state the arena contract promises: zero allocations.
+// gateArch is the paper's center configuration, which both allocation
+// checks build the runner's first benchmark for.
+var gateArch = regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32,
+	Mode: regconn.WithRC, CombineConnects: true}
+
+// coldGateMiB bounds the heap bytes of one cold point. Its three memory
+// images (Build's two interpreter runs, the fresh arena's machine) are
+// sparse, so the point allocates about 2 MiB; one dense 16 MiB image
+// would break the bound.
+const coldGateMiB = 8
+
+// measureColdAlloc returns the bytes (runtime.MemStats.TotalAlloc delta)
+// allocated by one Build of the runner's first benchmark at gateArch plus
+// one VerifyContext on a fresh arena: the path of every cold point, which
+// the warm-arena check never takes.
+func measureColdAlloc(r *exp.Runner) (uint64, error) {
+	p := r.Benchmarks[0].Build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ex, err := regconn.Build(p, gateArch)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := regconn.NewArena().VerifyContext(context.Background(), ex); err != nil {
+		return 0, err
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, nil
+}
+
+// measureSteadyState builds the runner's first benchmark at gateArch,
+// warms a run arena, then resimulates it reps times counting wall time
+// and heap allocations (runtime.MemStats.Mallocs delta). The warm-up run
+// pays the one-time arena growth so the counted reps see the steady state
+// the arena contract promises: zero allocations.
 func measureSteadyState(r *exp.Runner, reps int) (steadyState, error) {
 	bm := r.Benchmarks[0]
-	arch := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32,
-		Mode: regconn.WithRC, CombineConnects: true}
-	ex, err := regconn.Build(bm.Build(), arch)
+	ex, err := regconn.Build(bm.Build(), gateArch)
 	if err != nil {
 		return steadyState{}, err
 	}

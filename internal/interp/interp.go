@@ -26,7 +26,8 @@ type Options struct {
 	Profile bool
 	// MaxSteps aborts runaway executions (0 = default limit).
 	MaxSteps int64
-	// MemSize is the memory image size in bytes (0 = mem.DefaultSize).
+	// MemSize is the memory image size in bytes (0 = mem.DefaultSize);
+	// Run rejects a negative size or one above mem.MaxSize.
 	MemSize int64
 }
 
@@ -63,6 +64,9 @@ func Run(p *ir.Program, entry string, args []int64, opts Options) (*Result, erro
 	}
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = defaultMaxSteps
+	}
+	if opts.MemSize < 0 || opts.MemSize > mem.MaxSize {
+		return nil, fmt.Errorf("interp: memory size %d outside [0, %d]", opts.MemSize, mem.MaxSize)
 	}
 	if opts.MemSize == 0 {
 		opts.MemSize = mem.DefaultSize

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"regconn/internal/ir"
@@ -181,6 +182,40 @@ func TestInitImageFaultIsError(t *testing.T) {
 	}
 	if f.Reason != "out of range" {
 		t.Errorf("fault reason = %q, want out of range", f.Reason)
+	}
+}
+
+// TestMemSizeBounds pins mem.MaxSize at the interpreter: a negative size
+// or one above the cap is an error before any image exists, and the cap
+// itself runs.
+func TestMemSizeBounds(t *testing.T) {
+	p := ir.NewProgram()
+	buildFib(p)
+	for _, tc := range []struct {
+		size int64
+		ok   bool
+	}{{-8, false}, {mem.MaxSize + 8, false}, {1 << 40, false}, {mem.MaxSize, true}} {
+		res, err := Run(p, "fib", []int64{10}, Options{MemSize: tc.size})
+		if (err == nil) != tc.ok {
+			t.Errorf("MemSize %d: result %v, error %v; want ok=%v", tc.size, res, err, tc.ok)
+		}
+	}
+}
+
+// TestRunImageIsSparse pins the interpreter's memory image to the pages
+// its program stores to: a small program's whole run allocates under
+// 1 MiB, not a 16 MiB image.
+func TestRunImageIsSparse(t *testing.T) {
+	p := ir.NewProgram()
+	buildFib(p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(p, "fib", []int64{10}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Run allocates %d bytes, want under 1 MiB", n)
 	}
 }
 

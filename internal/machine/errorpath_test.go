@@ -70,6 +70,28 @@ func TestWildStoreReturnsRuntimeError(t *testing.T) {
 	}
 }
 
+// TestMemSizeBounds pins mem.MaxSize at the simulator's config check: a
+// negative size or one above the cap is a config error before any image
+// exists, never a guest fault, and the cap itself runs (its last word
+// stores).
+func TestMemSizeBounds(t *testing.T) {
+	for _, tc := range []struct {
+		size int64
+		ok   bool
+	}{{-8, false}, {mem.MaxSize + 8, false}, {1 << 40, false}, {mem.MaxSize, true}} {
+		c := cfg1()
+		c.MemSize = tc.size
+		_, err := Run(wildStoreImg(tc.size-8), c)
+		if (err == nil) != tc.ok {
+			t.Errorf("MemSize %d: error %v, want ok=%v", tc.size, err, tc.ok)
+		}
+		var re *RuntimeError
+		if errors.As(err, &re) {
+			t.Errorf("MemSize %d: %v is a guest fault, want a config error", tc.size, err)
+		}
+	}
+}
+
 func TestInitFaultReturnsRuntimeError(t *testing.T) {
 	// A global whose initializer lands beyond MemSize makes image setup
 	// itself fault, before any instruction issues.

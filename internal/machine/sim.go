@@ -56,6 +56,8 @@ type Config struct {
 	// do not record the probe.
 	Probe Probe `json:"-"`
 
+	// MemSize is the memory image size in bytes (0 = mem.DefaultSize).
+	// A negative size or one above mem.MaxSize is a config error.
 	MemSize   int64
 	MaxCycles int64
 }
@@ -77,11 +79,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize validates the issue geometry and fills the defaults shared by
-// Run and RunMultiprogrammed, so the two entry points cannot drift.
+// normalize validates the issue geometry and the memory size, and fills
+// the defaults shared by Run and RunMultiprogrammed, so the two entry
+// points cannot drift.
 func (cfg *Config) normalize() error {
 	if cfg.IssueRate <= 0 || cfg.MemChannels <= 0 {
 		return fmt.Errorf("machine: invalid config issue=%d channels=%d", cfg.IssueRate, cfg.MemChannels)
+	}
+	if cfg.MemSize < 0 || cfg.MemSize > mem.MaxSize {
+		return fmt.Errorf("machine: memory size %d outside [0, %d]", cfg.MemSize, mem.MaxSize)
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = defaultMaxCycles

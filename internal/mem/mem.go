@@ -1,11 +1,16 @@
-// Package mem provides the flat, deterministic memory image shared by the
-// IR interpreter and the machine simulator. The paper assumes a 100% cache
-// hit rate (§5.3), so memory is modeled as a fixed-latency word store; the
-// latency itself lives in the timing model, not here.
+// Package mem provides the sparse, paged, deterministic memory image shared
+// by the IR interpreter and the machine simulator. The paper assumes a 100%
+// cache hit rate (§5.3), so memory is modeled as a fixed-latency word store;
+// the latency itself lives in the timing model, not here.
 //
 // Layout: globals are placed consecutively from GlobalBase; the stack
 // occupies the top of the address space and grows down. All accesses move
 // aligned 8-byte words.
+//
+// Backing: the address space is a directory of 64 KiB pages. A page is
+// allocated on its first store, and a page never stored to reads as zero,
+// so an image costs its directory plus the pages its program wrote (a few
+// hundred KiB of globals and stack), not its full Size.
 package mem
 
 import (
@@ -21,53 +26,61 @@ const GlobalBase = 1 << 12
 // DefaultSize is the default memory image size in bytes (16 MiB).
 const DefaultSize = 1 << 24
 
-// pageWords is the dirty-tracking granularity in words (64 KiB pages):
-// coarse enough that the per-store bookkeeping is one byte write, fine
-// enough that resetting a 16 MiB image whose program touched a few hundred
-// KiB of globals and stack clears only those pages.
-const pageWords = 1 << 13
+// MaxSize is the largest memory image size in bytes (1 GiB). The page
+// directory grows with the size, one pointer and one dirty byte per page
+// (128 KiB of pointers at MaxSize), so callers that size an image from
+// outside input reject anything larger, or negative, before calling New.
+const MaxSize = 1 << 30
 
-// Memory is a byte-addressed, word-accessed memory image. Stores mark
-// their page dirty so Reset can rezero in place at the cost of the pages
-// actually written rather than the whole image (the per-run zeroing that
-// DESIGN.md §10's profile found dominating short sweeps).
+// A page is 64 KiB (pageWords words): coarse enough that the directory of a
+// 16 MiB image is 256 entries and the per-store bookkeeping is one byte
+// write, fine enough that an image whose program touches a few hundred KiB
+// of globals and stack allocates, and on Reset clears, only those pages.
+const (
+	pageShift = 16 // log2 of the page size in bytes
+	pageWords = 1 << (pageShift - 3)
+)
+
+// Memory is a byte-addressed, word-accessed memory image. A store
+// allocates its page on first use and marks it dirty, so neither New nor
+// Reset pays for the whole image: New allocates only the directory, and
+// Reset rezeroes in place just the pages written since the last reset.
 type Memory struct {
-	words []int64
-	dirty []bool // per pageWords-sized page: written since last Reset/New
+	pages []*[pageWords]int64 // nil until the page's first store
+	dirty []bool              // per page: written since the last New/Reset
+	size  uint64              // bytes, a word multiple
 }
 
 // New returns a zeroed memory of the given size in bytes (rounded up to a
-// word multiple).
+// word multiple). It allocates only the page directory; 0 <= size <=
+// MaxSize keeps that directory small.
 func New(size int64) *Memory {
 	n := (size + 7) / 8
+	np := (n + pageWords - 1) / pageWords
 	return &Memory{
-		words: make([]int64, n),
-		dirty: make([]bool, (n+pageWords-1)/pageWords),
+		pages: make([]*[pageWords]int64, np),
+		dirty: make([]bool, np),
+		size:  uint64(n) * 8,
 	}
 }
 
 // Reset rezeroes the memory in place: every page written since the last
-// New/Reset is cleared (and its dirty mark dropped), leaving the image
-// bit-identical to a freshly allocated one of the same size.
+// New/Reset is cleared (and its dirty mark dropped) but stays allocated,
+// leaving the image bit-identical to a freshly allocated one of the same
+// size.
 func (m *Memory) Reset() {
 	for p, d := range m.dirty {
-		if !d {
-			continue
+		if d {
+			clear(m.pages[p][:])
+			m.dirty[p] = false
 		}
-		lo := p * pageWords
-		hi := lo + pageWords
-		if hi > len(m.words) {
-			hi = len(m.words)
-		}
-		clear(m.words[lo:hi])
-		m.dirty[p] = false
 	}
 }
 
-// Reinit makes the memory equivalent to New(size), reusing the backing
-// arrays when the size is unchanged and reallocating otherwise.
+// Reinit makes the memory equivalent to New(size), reusing the allocated
+// pages when the size is unchanged and starting over otherwise.
 func (m *Memory) Reinit(size int64) {
-	if n := (size + 7) / 8; n != int64(len(m.words)) {
+	if (size+7)/8*8 != m.Size() {
 		*m = *New(size)
 		return
 	}
@@ -75,28 +88,40 @@ func (m *Memory) Reinit(size int64) {
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() int64 { return int64(len(m.words)) * 8 }
+func (m *Memory) Size() int64 { return int64(m.size) }
 
 // StackTop returns the initial stack pointer (just past the highest word).
 func (m *Memory) StackTop() int64 { return m.Size() }
 
-func (m *Memory) index(addr int64) int64 {
+// check faults unless addr is an aligned word inside the image.
+func (m *Memory) check(addr int64) {
 	if addr%8 != 0 {
 		panic(&Fault{Addr: addr, Reason: "unaligned access"})
 	}
-	w := addr / 8
-	if w < 0 || w >= int64(len(m.words)) {
+	if uint64(addr) >= m.size {
 		panic(&Fault{Addr: addr, Reason: "out of range"})
 	}
-	return w
 }
 
-// LoadI loads an integer word; StoreI stores one.
-func (m *Memory) LoadI(addr int64) int64 { return m.words[m.index(addr)] }
+// LoadI loads an integer word; StoreI stores one. StoreI allocates a
+// missing page inline rather than through a helper call: the call would
+// push StoreI and StoreF past the inliner's budget, and both run on every
+// simulated store.
+func (m *Memory) LoadI(addr int64) int64 {
+	m.check(addr)
+	if p := m.pages[addr>>pageShift]; p != nil {
+		return p[addr>>3&(pageWords-1)]
+	}
+	return 0
+}
 func (m *Memory) StoreI(addr, v int64) {
-	w := m.index(addr)
-	m.words[w] = v
-	m.dirty[w/pageWords] = true
+	m.check(addr)
+	pg := addr >> pageShift
+	if m.pages[pg] == nil {
+		m.pages[pg] = new([pageWords]int64)
+	}
+	m.pages[pg][addr>>3&(pageWords-1)] = v
+	m.dirty[pg] = true
 }
 
 // LoadF and StoreF view the word as a float64 bit pattern.

@@ -41,6 +41,7 @@ import (
 	"regconn/internal/exp"
 	"regconn/internal/flight"
 	"regconn/internal/machine"
+	"regconn/internal/mem"
 	"regconn/internal/obs"
 	"regconn/internal/store"
 	"regconn/internal/workload"
@@ -371,6 +372,16 @@ func resolveBenchmark(name string, spec *workload.Spec) (bench.Benchmark, error)
 	return workload.ByName(name)
 }
 
+// checkArch rejects, before anything is generated or compiled, an
+// architecture the simulator would refuse only after Build: a memory size
+// outside [0, mem.MaxSize].
+func checkArch(a regconn.Arch) error {
+	if a.MemSize < 0 || a.MemSize > mem.MaxSize {
+		return fmt.Errorf("arch: memory size %d outside [0, %d]", a.MemSize, mem.MaxSize)
+	}
+	return nil
+}
+
 // errorBody is any endpoint's failure payload.
 type errorBody struct {
 	Benchmark string `json:"benchmark,omitempty"`
@@ -575,6 +586,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
+	if err := checkArch(req.Arch); err != nil {
+		writeError(w, http.StatusBadRequest, errorBody{Benchmark: req.Benchmark, Error: err.Error()})
+		return
+	}
 	bm, err := resolveBenchmark(req.Benchmark, req.Workload)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorBody{Benchmark: req.Benchmark, Error: err.Error()})
@@ -677,6 +692,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]*sweepJob, len(pts))
 	for i, p := range pts {
+		if err := checkArch(p.Arch); err != nil {
+			writeError(w, http.StatusBadRequest, errorBody{Benchmark: p.Benchmark, Error: err.Error()})
+			return
+		}
 		bm, err := resolveBenchmark(p.Benchmark, p.Workload)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, errorBody{Benchmark: p.Benchmark, Error: err.Error()})

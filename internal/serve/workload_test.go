@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"regconn"
+	"regconn/internal/isa"
 	"regconn/internal/workload"
 )
 
@@ -87,6 +88,8 @@ func TestRunWorkloadValidation(t *testing.T) {
 			Workload: &workload.Spec{Profile: "mixed", Seed: 1}, Arch: fastArch()}},
 		{"malformed gen name", RunRequest{Benchmark: "gen/mixed/xyz", Arch: fastArch()}},
 		{"unknown gen profile", RunRequest{Benchmark: "gen/no-such/3", Arch: fastArch()}},
+		{"memory size above cap", RunRequest{Benchmark: "grep", Arch: memSizeArch(1 << 40)}},
+		{"negative memory size", RunRequest{Benchmark: "grep", Arch: memSizeArch(-8)}},
 	}
 	for _, c := range cases {
 		c := c
@@ -158,6 +161,40 @@ func TestSweepWorkloads(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec sweep: status %d, want 400: %s", resp.StatusCode, out)
 	}
+
+	// So does an arch whose memory image the simulator would refuse.
+	body, _ = json.Marshal(SweepRequest{
+		Benchmarks: []string{"grep"},
+		Archs:      []regconn.Arch{fastArch(), memSizeArch(1 << 40)},
+	})
+	resp, out = postRaw(t, srv, "/v1/sweep", "application/json", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("memory size sweep: status %d, want 400: %s", resp.StatusCode, out)
+	}
+}
+
+// memSizeArch is fastArch with the given memory image size.
+func memSizeArch(size int64) regconn.Arch {
+	a := fastArch()
+	a.MemSize = size
+	return a
+}
+
+// editedTrace decodes an encoded trace, applies edit and re-encodes it
+// with a fresh checksum, as a hostile client could.
+func editedTrace(t *testing.T, raw []byte, edit func(*workload.Trace)) []byte {
+	t.Helper()
+	tr, _, err := workload.DecodeTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Code = append([]isa.Instr(nil), tr.Code...)
+	edit(tr)
+	var buf bytes.Buffer
+	if _, err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // encodedTrace builds and encodes a trace for one workload under fastArch.
@@ -184,8 +221,8 @@ func encodedTrace(t *testing.T, name string) []byte {
 
 // TestReplayEndpoint pins POST /v1/replay: a valid trace replays to a 200
 // whose Ret matches the recorded oracle, a second replay of the same trace
-// is a warm byte-identical HIT, and corrupt or truncated traces are
-// structured 400s.
+// is a warm byte-identical HIT, and corrupt, truncated or out-of-range
+// traces are structured 400s that leave the daemon serving.
 func TestReplayEndpoint(t *testing.T) {
 	sv := newServer(t, Config{Workers: 2})
 	srv := httptest.NewServer(sv)
@@ -229,6 +266,17 @@ func TestReplayEndpoint(t *testing.T) {
 			return b
 		}()},
 		{"wrong version", append([]byte(fmt.Sprintf("rctrace 999 %d deadbeef\n", len(raw)-headerLen)), raw[headerLen:]...)},
+		// Both used to pass the checksum; the first then panicked the
+		// simulator inside a flight goroutine and took the daemon down.
+		{"register beyond map", editedTrace(t, raw, func(tr *workload.Trace) {
+			for i := range tr.Code {
+				if tr.Code[i].Dst.Valid() {
+					tr.Code[i].Dst.N = 250
+					return
+				}
+			}
+		})},
+		{"memory size above cap", editedTrace(t, raw, func(tr *workload.Trace) { tr.Config.MemSize = 1 << 40 })},
 	}
 	for _, c := range bad {
 		c := c
@@ -242,6 +290,11 @@ func TestReplayEndpoint(t *testing.T) {
 				t.Fatalf("expected structured error body, got %s (err %v)", body, err)
 			}
 		})
+	}
+
+	resp, body := postRaw(t, srv, "/v1/replay", "application/octet-stream", encodedTrace(t, "gen/mixed/0"))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("replay after rejected traces: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"regconn"
+	"regconn/internal/isa"
 	"regconn/internal/workload"
 )
 
@@ -282,6 +284,22 @@ func TestTraceCorruption(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	// instr re-encodes the trace with the first instruction pick accepts
+	// edited, on a copy of the code so the cases stay independent.
+	instr := func(pick func(*isa.Instr) bool, edit func(*isa.Instr)) []byte {
+		return reencode(func(c workload.Trace) workload.Trace {
+			c.Code = append([]isa.Instr(nil), c.Code...)
+			for i := range c.Code {
+				if pick(&c.Code[i]) {
+					edit(&c.Code[i])
+					return c
+				}
+			}
+			t.Fatal("no instruction to edit")
+			return c
+		})
+	}
+	connect := func(in *isa.Instr) bool { return in.Op.Meta().NPairs > 0 }
 
 	cases := []struct {
 		name string
@@ -318,6 +336,32 @@ func TestTraceCorruption(t *testing.T) {
 			c.Config.IssueRate = 0
 			return c
 		})},
+		// Operands outside the recorded register files used to pass the
+		// checksum and then panic the simulator mid-replay.
+		{"dst beyond map", instr(func(in *isa.Instr) bool { return in.Dst.Valid() },
+			func(in *isa.Instr) { in.Dst.N = 250 })},
+		{"negative src", instr(func(in *isa.Instr) bool { return in.A.Valid() },
+			func(in *isa.Instr) { in.A.N = -1 })},
+		{"src b beyond map", instr(func(in *isa.Instr) bool { return in.B.Valid() },
+			func(in *isa.Instr) { in.B.N = 250 })},
+		{"connect index beyond map", instr(connect, func(in *isa.Instr) { in.CIdx[0] = 250 })},
+		{"connect phys beyond file", instr(connect, func(in *isa.Instr) { in.CPhys[0] = 60000 })},
+		{"core above total", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.IntCore = c.Config.IntTotal + 1
+			return c
+		})},
+		{"zero fp core", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.FPCore = 0
+			return c
+		})},
+		{"memory size above cap", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.MemSize = 1 << 40
+			return c
+		})},
+		{"negative memory size", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.MemSize = -8
+			return c
+		})},
 	}
 	for _, c := range cases {
 		c := c
@@ -327,6 +371,45 @@ func TestTraceCorruption(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadTrace", err)
 			}
 		})
+	}
+}
+
+// TestImagesAreSparse pins the memory images this package builds to the
+// pages their programs store to: generating a workload (its oracle
+// interpreter run) and replaying a trace (a fresh machine) each allocate
+// under 1 MiB, not a 16 MiB image.
+func TestImagesAreSparse(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v1_mixed0.rctrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := workload.DecodeTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"generate gen/mixed/0", func() error {
+			_, err := workload.ByName("gen/mixed/0")
+			return err
+		}},
+		{"replay v1_mixed0", func() error {
+			_, err := tr.Replay(context.Background())
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s allocates %d bytes, want under 1 MiB", c.name, n)
+		}
 	}
 }
 

@@ -126,7 +126,9 @@ type Arch struct {
 	// MemSize is the simulated memory image size in bytes (0 = the
 	// default 16 MiB). Programs whose data or stack exceed it fail with a
 	// guest memory fault (*machine.RuntimeError), which makes small sizes
-	// useful for exercising fault paths end to end.
+	// useful for exercising fault paths end to end. It is capped at
+	// mem.MaxSize (1 GiB): running at a negative or larger size is an
+	// error, and rcserve rejects such an arch with a 400.
 	MemSize int64
 }
 

@@ -7,12 +7,17 @@
 # regression where a hot-path change quietly reintroduces a per-run (or
 # worse, per-cycle) allocation and sweep throughput decays with GC load.
 #
+# The same run checks the cold path's bytes: one Build plus a verified run
+# on a fresh arena (cpp at the center configuration) must allocate under
+# 8 MiB (runtime.MemStats.TotalAlloc delta), so a dense memory image
+# returning to Build's interpreter runs or to a fresh machine fails here.
+#
 # Run from the repository root: sh scripts/benchgate.sh
 set -u
 
 GO=${GO:-go}
 
 if ! $GO run ./cmd/rcbench -gate; then
-    echo "benchgate: steady-state allocation check failed" >&2
+    echo "benchgate: allocation check failed" >&2
     exit 1
 fi
