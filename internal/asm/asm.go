@@ -267,8 +267,8 @@ func (p *parser) parseImm(tok string) (int64, error) {
 	return v, nil
 }
 
-// parseMem parses "off(rN)".
-func (p *parser) parseMem(tok string) (isa.Reg, int64, error) {
+// parseMem parses "off(rN)", a base register of the given class.
+func (p *parser) parseMem(tok string, class isa.RegClass) (isa.Reg, int64, error) {
 	open := strings.IndexByte(tok, '(')
 	if open < 0 || !strings.HasSuffix(tok, ")") {
 		return isa.Reg{}, 0, p.errf("expected off(reg), got %q", tok)
@@ -277,7 +277,7 @@ func (p *parser) parseMem(tok string) (isa.Reg, int64, error) {
 	if err != nil {
 		return isa.Reg{}, 0, p.errf("bad offset in %q", tok)
 	}
-	base, err := p.parseReg(tok[open+1:len(tok)-1], isa.ClassInt)
+	base, err := p.parseReg(tok[open+1:len(tok)-1], class)
 	if err != nil {
 		return isa.Reg{}, 0, err
 	}
@@ -304,6 +304,11 @@ func (p *parser) parseConnPair(tok string) (idx, phys uint16, class isa.RegClass
 	return uint16(i), uint16(ph), class, nil
 }
 
+// parseInstr parses one instruction line and returns it with its branch
+// label, if any. Register classes come from the opcode's operand schema
+// (isa.Meta); the syntax adds only the operand layouts: immediates and
+// symbols for MOVI/FMOVI/LGA, off(base) addresses for memory ops (a store
+// names its value first), connect pairs, and a trailing branch label.
 func (p *parser) parseInstr(line string) (isa.Instr, string, error) {
 	sp := strings.IndexAny(line, " \t")
 	mn := line
@@ -317,6 +322,7 @@ func (p *parser) parseInstr(line string) (isa.Instr, string, error) {
 	}
 	ops := splitOperands(rest)
 	in := isa.Instr{Op: op}
+	m := op.Meta()
 
 	need := func(n int) error {
 		if len(ops) != n {
@@ -324,199 +330,123 @@ func (p *parser) parseInstr(line string) (isa.Instr, string, error) {
 		}
 		return nil
 	}
-	fclass := func() isa.RegClass {
-		switch op {
-		case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FMOV, isa.FNEG, isa.FABS,
-			isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE, isa.FMOVI:
-			return isa.ClassFloat
-		}
-		return isa.ClassInt
-	}
 
 	var err error
-	switch op {
-	case isa.NOP, isa.HALT, isa.RET:
+	switch {
+	case op == isa.RET: // machine RET carries its value in r2/f2
 		return in, "", need(0)
-	case isa.MOVI:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		if in.Dst, err = p.parseReg(ops[0], isa.ClassInt); err != nil {
-			return in, "", err
-		}
-		in.Imm, err = p.parseImm(ops[1])
-		return in, "", err
-	case isa.FMOVI:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		if in.Dst, err = p.parseReg(ops[0], isa.ClassFloat); err != nil {
-			return in, "", err
-		}
-		if !strings.HasPrefix(ops[1], "#") {
-			return in, "", p.errf("expected float immediate")
-		}
-		v, ferr := strconv.ParseFloat(ops[1][1:], 64)
-		if ferr != nil {
-			return in, "", p.errf("bad float %q", ops[1])
-		}
-		in.Imm = int64(math.Float64bits(v))
-		return in, "", nil
-	case isa.LGA:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		if in.Dst, err = p.parseReg(ops[0], isa.ClassInt); err != nil {
-			return in, "", err
-		}
-		plus := strings.LastIndexByte(ops[1], '+')
-		if plus < 0 {
-			return in, "", p.errf("expected sym+off, got %q", ops[1])
-		}
-		in.Sym = ops[1][:plus]
-		in.Imm, err = strconv.ParseInt(ops[1][plus+1:], 10, 64)
-		if err != nil {
-			return in, "", p.errf("bad offset in %q", ops[1])
-		}
-		return in, "", nil
-	case isa.MOV, isa.FMOV, isa.FNEG, isa.FABS:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		if in.Dst, err = p.parseReg(ops[0], fclass()); err != nil {
-			return in, "", err
-		}
-		in.A, err = p.parseReg(ops[1], fclass())
-		return in, "", err
-	case isa.CVTIF:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		if in.Dst, err = p.parseReg(ops[0], isa.ClassFloat); err != nil {
-			return in, "", err
-		}
-		in.A, err = p.parseReg(ops[1], isa.ClassInt)
-		return in, "", err
-	case isa.CVTFI:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		if in.Dst, err = p.parseReg(ops[0], isa.ClassInt); err != nil {
-			return in, "", err
-		}
-		in.A, err = p.parseReg(ops[1], isa.ClassFloat)
-		return in, "", err
-	case isa.LD, isa.FLD:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		dc := isa.ClassInt
-		if op == isa.FLD {
-			dc = isa.ClassFloat
-		}
-		if in.Dst, err = p.parseReg(ops[0], dc); err != nil {
-			return in, "", err
-		}
-		in.A, in.Imm, err = p.parseMem(ops[1])
-		return in, "", err
-	case isa.ST, isa.FST:
-		if err = need(2); err != nil {
-			return in, "", err
-		}
-		vc := isa.ClassInt
-		if op == isa.FST {
-			vc = isa.ClassFloat
-		}
-		if in.B, err = p.parseReg(ops[0], vc); err != nil {
-			return in, "", err
-		}
-		in.A, in.Imm, err = p.parseMem(ops[1])
-		return in, "", err
-	case isa.BR:
-		if err = need(1); err != nil {
-			return in, "", err
-		}
-		return in, ops[0], nil
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
-		if err = need(3); err != nil {
-			return in, "", err
-		}
-		if in.A, err = p.parseReg(ops[0], isa.ClassInt); err != nil {
-			return in, "", err
-		}
-		if strings.HasPrefix(ops[1], "#") {
-			in.UseImm = true
-			if in.Imm, err = p.parseImm(ops[1]); err != nil {
-				return in, "", err
-			}
-		} else if in.B, err = p.parseReg(ops[1], isa.ClassInt); err != nil {
-			return in, "", err
-		}
-		return in, ops[2], nil
-	case isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE:
-		if err = need(3); err != nil {
-			return in, "", err
-		}
-		if in.A, err = p.parseReg(ops[0], isa.ClassFloat); err != nil {
-			return in, "", err
-		}
-		if in.B, err = p.parseReg(ops[1], isa.ClassFloat); err != nil {
-			return in, "", err
-		}
-		return in, ops[2], nil
-	case isa.CALL:
+	case op == isa.CALL:
 		if err = need(1); err != nil {
 			return in, "", err
 		}
 		in.Sym = ops[0]
 		return in, "", nil
-	case isa.CONUSE, isa.CONDEF:
-		if err = need(1); err != nil {
+	case m.Connect:
+		if err = need(int(m.NPairs)); err != nil {
 			return in, "", err
 		}
-		i0, p0, class, cerr := p.parseConnPair(ops[0])
-		if cerr != nil {
-			return in, "", cerr
+		for i, tok := range ops {
+			idx, phys, class, cerr := p.parseConnPair(tok)
+			if cerr != nil {
+				return in, "", cerr
+			}
+			if i > 0 && class != in.CClass {
+				return in, "", p.errf("connect pairs must address one register file")
+			}
+			in.CIdx[i], in.CPhys[i], in.CClass = idx, phys, class
 		}
-		in.CIdx[0], in.CPhys[0], in.CClass = i0, p0, class
 		return in, "", nil
-	case isa.CONUU, isa.CONDU, isa.CONDD:
+	case op == isa.MOVI, op == isa.FMOVI, op == isa.LGA:
 		if err = need(2); err != nil {
 			return in, "", err
 		}
-		i0, p0, c0, e0 := p.parseConnPair(ops[0])
-		i1, p1, c1, e1 := p.parseConnPair(ops[1])
-		if e0 != nil {
-			return in, "", e0
-		}
-		if e1 != nil {
-			return in, "", e1
-		}
-		if c0 != c1 {
-			return in, "", p.errf("connect pairs must address one register file")
-		}
-		in.CIdx, in.CPhys, in.CClass = [2]uint16{i0, i1}, [2]uint16{p0, p1}, c0
-		return in, "", nil
-	default: // three-address ALU / FP ops
-		if err = need(3); err != nil {
+		if in.Dst, err = p.parseReg(ops[0], m.Dst); err != nil {
 			return in, "", err
 		}
-		class := fclass()
-		if in.Dst, err = p.parseReg(ops[0], class); err != nil {
+		in.Sym, in.Imm, err = p.parseConst(op, ops[1])
+		return in, "", err
+	case m.Mem:
+		if err = need(2); err != nil {
 			return in, "", err
 		}
-		if in.A, err = p.parseReg(ops[1], class); err != nil {
+		val, class := &in.Dst, m.Dst
+		if class == isa.ClassNone { // store: the value is the B slot
+			val, class = &in.B, m.B
+		}
+		if *val, err = p.parseReg(ops[0], class); err != nil {
 			return in, "", err
 		}
-		if strings.HasPrefix(ops[2], "#") {
-			if class == isa.ClassFloat {
-				return in, "", p.errf("FP ops take no immediates")
-			}
-			in.UseImm = true
-			in.Imm, err = p.parseImm(ops[2])
-			return in, "", err
-		}
-		in.B, err = p.parseReg(ops[2], class)
+		in.A, in.Imm, err = p.parseMem(ops[1], m.A)
 		return in, "", err
 	}
+
+	// Register operands in slot order, then the branch label.
+	slots := [...]struct {
+		r     *isa.Reg
+		class isa.RegClass
+	}{{&in.Dst, m.Dst}, {&in.A, m.A}, {&in.B, m.B}}
+	n := 0
+	for _, sl := range slots {
+		if sl.class != isa.ClassNone {
+			n++
+		}
+	}
+	if m.Branch {
+		n++
+	}
+	if err = need(n); err != nil {
+		return in, "", err
+	}
+	k := 0
+	for _, sl := range slots {
+		if sl.class == isa.ClassNone {
+			continue
+		}
+		tok := ops[k]
+		k++
+		if sl.r == &in.B && strings.HasPrefix(tok, "#") {
+			if !m.BImm {
+				return in, "", p.errf("%s takes no immediates", mn)
+			}
+			in.UseImm = true
+			if in.Imm, err = p.parseImm(tok); err != nil {
+				return in, "", err
+			}
+			continue
+		}
+		if *sl.r, err = p.parseReg(tok, sl.class); err != nil {
+			return in, "", err
+		}
+	}
+	if m.Branch {
+		return in, ops[k], nil
+	}
+	return in, "", nil
+}
+
+// parseConst parses the constant operand of MOVI (#int), FMOVI (#float,
+// returned as its bit pattern) or LGA (sym+off).
+func (p *parser) parseConst(op isa.Op, tok string) (sym string, imm int64, err error) {
+	switch op {
+	case isa.MOVI:
+		imm, err = p.parseImm(tok)
+		return "", imm, err
+	case isa.FMOVI:
+		if !strings.HasPrefix(tok, "#") {
+			return "", 0, p.errf("expected float immediate")
+		}
+		v, ferr := strconv.ParseFloat(tok[1:], 64)
+		if ferr != nil {
+			return "", 0, p.errf("bad float %q", tok)
+		}
+		return "", int64(math.Float64bits(v)), nil
+	}
+	plus := strings.LastIndexByte(tok, '+')
+	if plus < 0 {
+		return "", 0, p.errf("expected sym+off, got %q", tok)
+	}
+	if imm, err = strconv.ParseInt(tok[plus+1:], 10, 64); err != nil {
+		return "", 0, p.errf("bad offset in %q", tok)
+	}
+	return tok[:plus], imm, nil
 }

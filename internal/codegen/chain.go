@@ -50,8 +50,7 @@ func MarkChains(mf *MFunc) {
 		if prod.Op.Kind() != isa.KindIntALU {
 			continue
 		}
-		m := prod.Op.Meta()
-		if !m.HasDst || !prod.Dst.Valid() || prod.Dst.Class != isa.ClassInt {
+		if prod.Def().Class != isa.ClassInt {
 			continue
 		}
 		p := pann.PDst
@@ -65,8 +64,8 @@ func MarkChains(mf *MFunc) {
 		if cons.Op.Meta().Connect {
 			continue
 		}
-		chainA := readsSlotA(cons) && cons.A.Class == isa.ClassInt && cann.PA == p
-		chainB := readsSlotB(cons) && cons.B.Class == isa.ClassInt && cann.PB == p
+		chainA := cons.ReadsA() && cons.A.Class == isa.ClassInt && cann.PA == p
+		chainB := cons.ReadsB() && cons.B.Class == isa.ClassInt && cann.PB == p
 		if !chainA && !chainB {
 			continue
 		}
@@ -79,35 +78,21 @@ func MarkChains(mf *MFunc) {
 	}
 }
 
-// readsSlotA reports whether the instruction reads a register through its
-// A slot.
-func readsSlotA(in *isa.Instr) bool {
-	return in.Op.Meta().ReadsA && in.A.Valid()
-}
-
-// readsSlotB reports whether the instruction reads a register through its
-// B slot (an immediate displaces B).
-func readsSlotB(in *isa.Instr) bool {
-	m := in.Op.Meta()
-	return m.ReadsB && !(m.BImm && in.UseImm) && in.B.Valid()
-}
-
 // defsPhys reports whether the instruction at i writes integer physical
 // register p.
 func defsPhys(mf *MFunc, i int, p int32) bool {
 	in, ann := &mf.Code[i], &mf.Ann[i]
-	return in.Op.Meta().HasDst && in.Dst.Valid() &&
-		in.Dst.Class == isa.ClassInt && ann.PDst == p
+	return in.Def().Class == isa.ClassInt && ann.PDst == p
 }
 
 // readsPhys reports whether the instruction at i reads integer physical
 // register p through A or B.
 func readsPhys(mf *MFunc, i int, p int32) bool {
 	in, ann := &mf.Code[i], &mf.Ann[i]
-	if readsSlotA(in) && in.A.Class == isa.ClassInt && ann.PA == p {
+	if in.ReadsA() && in.A.Class == isa.ClassInt && ann.PA == p {
 		return true
 	}
-	return readsSlotB(in) && in.B.Class == isa.ClassInt && ann.PB == p
+	return in.ReadsB() && in.B.Class == isa.ClassInt && ann.PB == p
 }
 
 // deadAfter proves that integer physical register p is dead after the

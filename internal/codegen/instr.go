@@ -143,7 +143,7 @@ func (lw *lowerer) lowerInstr(b *ir.Block, in *isa.Instr) error {
 	}
 
 	// Sources.
-	if useReads(in.Op, opA) && in.A.Valid() {
+	if in.ReadsA() {
 		idx, phys, err := lw.resolveSrc(in.A)
 		if err != nil {
 			return err
@@ -151,7 +151,7 @@ func (lw *lowerer) lowerInstr(b *ir.Block, in *isa.Instr) error {
 		out.A = isa.Reg{Class: in.A.Class, N: idx}
 		ann.PA = phys
 	}
-	if useReads(in.Op, opB) && !in.UseImm && in.B.Valid() {
+	if in.ReadsB() {
 		idx, phys, err := lw.resolveSrc(in.B)
 		if err != nil {
 			return err
@@ -177,30 +177,6 @@ func (lw *lowerer) lowerInstr(b *ir.Block, in *isa.Instr) error {
 		after()
 	}
 	return nil
-}
-
-type opSlot uint8
-
-const (
-	opA opSlot = iota
-	opB
-)
-
-// useReads reports whether the op reads the given operand slot as a
-// register source.
-func useReads(op isa.Op, slot opSlot) bool {
-	switch op {
-	case isa.MOVI, isa.FMOVI, isa.LGA:
-		return false
-	case isa.LD, isa.FLD:
-		return slot == opA
-	case isa.ST, isa.FST:
-		return true
-	case isa.MOV, isa.FMOV, isa.FNEG, isa.FABS, isa.CVTIF, isa.CVTFI:
-		return slot == opA
-	default:
-		return true
-	}
 }
 
 // lowerCall expands an IR call: save extended registers live across the

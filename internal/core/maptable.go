@@ -131,6 +131,10 @@ type MapTable struct {
 	off int
 }
 
+// MaxRegs bounds a register file: map entries hold 16-bit physical
+// register numbers, so a table accepts 1 <= m <= n <= MaxRegs.
+const MaxRegs = 1 << 16
+
 // NewMapTable returns a table with m addressable indices over n physical
 // registers, all entries at their home locations, mapping enabled, using
 // the given automatic-reset model. It panics if the geometry is invalid:
@@ -151,7 +155,7 @@ func (t *MapTable) Reinit(model Model, m, n int) {
 	if !model.Valid() {
 		panic(fmt.Sprintf("core: invalid model %d", model))
 	}
-	if m <= 0 || n < m || n > 1<<16 {
+	if m <= 0 || n < m || n > MaxRegs {
 		panic(fmt.Sprintf("core: invalid geometry m=%d n=%d", m, n))
 	}
 	t.model, t.m, t.n = model, m, n

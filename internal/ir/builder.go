@@ -87,13 +87,12 @@ func (b *Builder) binI(op isa.Op, x isa.Reg, imm int64) isa.Reg {
 	return d
 }
 
+// destFor allocates a fresh virtual register of op's destination class.
 func (b *Builder) destFor(op isa.Op) isa.Reg {
-	switch op {
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FMOV, isa.FNEG, isa.FABS, isa.CVTIF, isa.FLD, isa.FMOVI:
+	if op.Meta().Dst == isa.ClassFloat {
 		return b.F.NewFloat()
-	default:
-		return b.F.NewInt()
 	}
+	return b.F.NewInt()
 }
 
 // Integer arithmetic.

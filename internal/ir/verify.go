@@ -45,120 +45,33 @@ func verifyFunc(p *Program, f *Func) error {
 	return nil
 }
 
+// verifyInstr checks one instruction: operand classes against the opcode's
+// schema (isa.Instr.CheckOperands), virtual register numbers of every use
+// and def, and the IR-only rules — no connects, LGA names a global, CALL
+// names a function and passes arguments of its parameters' classes,
+// branches target blocks.
 func verifyInstr(p *Program, f *Func, in *isa.Instr) error {
-	checkReg := func(r isa.Reg, want isa.RegClass, what string) error {
-		if r.Class != want {
-			return fmt.Errorf("%s has class %v, want %v", what, r.Class, want)
-		}
+	if in.Op.IsConnect() {
+		return fmt.Errorf("connect instructions are not valid in IR form (inserted by codegen)")
+	}
+	if err := in.CheckOperands(); err != nil {
+		return err
+	}
+	var regs [4]isa.Reg
+	for _, r := range append(in.Uses(regs[:0]), in.Def()) {
 		max := f.NextInt
-		if want == isa.ClassFloat {
+		if r.Class == isa.ClassFloat {
 			max = f.NextFloat
 		}
-		if r.N < 0 || r.N >= max {
-			return fmt.Errorf("%s register %v out of range [0,%d)", what, r, max)
+		if r.Valid() && (r.N < 0 || r.N >= max) {
+			return fmt.Errorf("register %v out of range [0,%d)", r, max)
 		}
-		return nil
 	}
-	checkTarget := func() error {
-		if in.Target < 0 || in.Target >= len(f.Blocks) {
-			return fmt.Errorf("branch target %d out of range", in.Target)
-		}
-		return nil
-	}
-
 	switch in.Op {
-	case isa.NOP, isa.HALT:
-		return nil
-	case isa.MOVI, isa.LGA:
-		if in.Op == isa.LGA && findGlobal(p, in.Sym) == nil {
+	case isa.LGA:
+		if findGlobal(p, in.Sym) == nil {
 			return fmt.Errorf("unknown global %q", in.Sym)
 		}
-		return checkReg(in.Dst, isa.ClassInt, "dst")
-	case isa.FMOVI:
-		return checkReg(in.Dst, isa.ClassFloat, "dst")
-	case isa.MOV, isa.SLT:
-		if err := checkReg(in.Dst, isa.ClassInt, "dst"); err != nil {
-			return err
-		}
-		if in.Op == isa.MOV {
-			return checkReg(in.A, isa.ClassInt, "src")
-		}
-		fallthrough
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR, isa.XOR,
-		isa.SLL, isa.SRL, isa.SRA:
-		if err := checkReg(in.Dst, isa.ClassInt, "dst"); err != nil {
-			return err
-		}
-		if err := checkReg(in.A, isa.ClassInt, "srcA"); err != nil {
-			return err
-		}
-		if !in.UseImm {
-			return checkReg(in.B, isa.ClassInt, "srcB")
-		}
-		return nil
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		if err := checkReg(in.Dst, isa.ClassFloat, "dst"); err != nil {
-			return err
-		}
-		if err := checkReg(in.A, isa.ClassFloat, "srcA"); err != nil {
-			return err
-		}
-		return checkReg(in.B, isa.ClassFloat, "srcB")
-	case isa.FMOV, isa.FNEG, isa.FABS:
-		if err := checkReg(in.Dst, isa.ClassFloat, "dst"); err != nil {
-			return err
-		}
-		return checkReg(in.A, isa.ClassFloat, "src")
-	case isa.CVTIF:
-		if err := checkReg(in.Dst, isa.ClassFloat, "dst"); err != nil {
-			return err
-		}
-		return checkReg(in.A, isa.ClassInt, "src")
-	case isa.CVTFI:
-		if err := checkReg(in.Dst, isa.ClassInt, "dst"); err != nil {
-			return err
-		}
-		return checkReg(in.A, isa.ClassFloat, "src")
-	case isa.LD:
-		if err := checkReg(in.Dst, isa.ClassInt, "dst"); err != nil {
-			return err
-		}
-		return checkReg(in.A, isa.ClassInt, "base")
-	case isa.FLD:
-		if err := checkReg(in.Dst, isa.ClassFloat, "dst"); err != nil {
-			return err
-		}
-		return checkReg(in.A, isa.ClassInt, "base")
-	case isa.ST:
-		if err := checkReg(in.A, isa.ClassInt, "base"); err != nil {
-			return err
-		}
-		return checkReg(in.B, isa.ClassInt, "val")
-	case isa.FST:
-		if err := checkReg(in.A, isa.ClassInt, "base"); err != nil {
-			return err
-		}
-		return checkReg(in.B, isa.ClassFloat, "val")
-	case isa.BR:
-		return checkTarget()
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
-		if err := checkReg(in.A, isa.ClassInt, "srcA"); err != nil {
-			return err
-		}
-		if !in.UseImm {
-			if err := checkReg(in.B, isa.ClassInt, "srcB"); err != nil {
-				return err
-			}
-		}
-		return checkTarget()
-	case isa.FBEQ, isa.FBNE, isa.FBLT, isa.FBLE:
-		if err := checkReg(in.A, isa.ClassFloat, "srcA"); err != nil {
-			return err
-		}
-		if err := checkReg(in.B, isa.ClassFloat, "srcB"); err != nil {
-			return err
-		}
-		return checkTarget()
 	case isa.CALL:
 		callee := p.Func(in.Sym)
 		if callee == nil {
@@ -168,25 +81,15 @@ func verifyInstr(p *Program, f *Func, in *isa.Instr) error {
 			return fmt.Errorf("callee %q takes %d args, got %d", in.Sym, len(callee.Params), len(in.Args))
 		}
 		for i, a := range in.Args {
-			if err := checkReg(a, callee.Params[i].Class, fmt.Sprintf("arg%d", i)); err != nil {
-				return err
+			if a.Class != callee.Params[i].Class {
+				return fmt.Errorf("arg%d has class %v, want %v", i, a.Class, callee.Params[i].Class)
 			}
 		}
-		if in.Dst.Valid() {
-			if err := checkReg(in.Dst, in.Dst.Class, "dst"); err != nil {
-				return err
-			}
-		}
-		return nil
-	case isa.RET:
-		if in.A.Valid() {
-			return checkReg(in.A, in.A.Class, "value")
-		}
-		return nil
-	case isa.CONUSE, isa.CONDEF, isa.CONUU, isa.CONDU, isa.CONDD:
-		return fmt.Errorf("connect instructions are not valid in IR form (inserted by codegen)")
 	}
-	return fmt.Errorf("unknown opcode %v", in.Op)
+	if in.Op.IsBranch() && (in.Target < 0 || in.Target >= len(f.Blocks)) {
+		return fmt.Errorf("branch target %d out of range", in.Target)
+	}
+	return nil
 }
 
 func findGlobal(p *Program, name string) *Global {

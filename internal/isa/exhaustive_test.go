@@ -56,8 +56,9 @@ func sampleInstr(op Op) Instr {
 }
 
 // TestEveryOpcode walks the whole opcode space: String is printable,
-// Uses/Def are consistent with the register classes, latency is sane, and
-// each classification predicate is total.
+// Uses/Def are consistent with the register classes, CheckOperands accepts
+// the sample and rejects it once any used slot holds the wrong class,
+// latency is sane, and each classification predicate is total.
 func TestEveryOpcode(t *testing.T) {
 	lat := DefaultLatencies(2)
 	count := 0
@@ -87,6 +88,7 @@ func TestEveryOpcode(t *testing.T) {
 				t.Errorf("%v: unexpected Def %v", op, d)
 			}
 		}
+		checkOperandsOf(t, in)
 		if l := lat.Of(op); l < 0 || l > 10 {
 			t.Errorf("%v: latency %d out of range", op, l)
 		}
@@ -107,6 +109,49 @@ func TestEveryOpcode(t *testing.T) {
 	}
 	if count < 45 {
 		t.Errorf("opcode walk covered only %d opcodes", count)
+	}
+	if err := (&Instr{Op: Op(NumOps)}).CheckOperands(); err == nil {
+		t.Error("CheckOperands accepted an unknown opcode")
+	}
+}
+
+// checkOperandsOf requires CheckOperands to accept the well-formed
+// instruction in and to reject every single-slot corruption of it: a used
+// slot holding the other class or no register, or an optional slot
+// holding a class no register file has.
+func checkOperandsOf(t *testing.T, in Instr) {
+	t.Helper()
+	if err := in.CheckOperands(); err != nil {
+		t.Errorf("%v: CheckOperands rejects the sample: %v", in.Op, err)
+	}
+	m := in.Op.Meta()
+	slots := []struct {
+		name string
+		reg  func(*Instr) *Reg
+		want RegClass
+	}{
+		{"dst", func(i *Instr) *Reg { return &i.Dst }, m.Dst},
+		{"srcA", func(i *Instr) *Reg { return &i.A }, m.A},
+		{"srcB", func(i *Instr) *Reg { return &i.B }, m.B},
+	}
+	for _, s := range slots {
+		var bad []RegClass
+		switch s.want {
+		case ClassInt:
+			bad = []RegClass{ClassFloat, ClassNone}
+		case ClassFloat:
+			bad = []RegClass{ClassInt, ClassNone}
+		case ClassEither:
+			bad = []RegClass{ClassEither, 7}
+		}
+		for _, c := range bad {
+			mut := in
+			mut.UseImm = false
+			*s.reg(&mut) = Reg{Class: c, N: 1}
+			if err := mut.CheckOperands(); err == nil {
+				t.Errorf("%v: CheckOperands accepts %s of class %v", in.Op, s.name, c)
+			}
+		}
 	}
 }
 

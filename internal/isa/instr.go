@@ -54,54 +54,79 @@ func (in *Instr) FImm() float64 { return math.Float64frombits(uint64(in.Imm)) }
 // SetFImm stores a float64 immediate into Imm.
 func (in *Instr) SetFImm(f float64) { in.Imm = int64(math.Float64bits(f)) }
 
-// Uses appends the registers read by the instruction to dst and returns it.
-// Connect instructions read no data registers (their operands are
-// immediates); IR-level CALL reads its Args.
-func (in *Instr) Uses(dst []Reg) []Reg {
-	switch in.Op {
-	case NOP, MOVI, FMOVI, LGA, BR, HALT, CONUSE, CONDEF, CONUU, CONDU, CONDD:
-		return dst
-	case LD, FLD:
-		return append(dst, in.A)
-	case ST, FST:
-		return append(dst, in.A, in.B)
-	case MOV, FMOV, FNEG, FABS, CVTIF, CVTFI:
-		return append(dst, in.A)
-	case RET:
-		if in.A.Valid() {
-			return append(dst, in.A)
-		}
-		return dst
-	case CALL:
-		return append(dst, in.Args...)
-	case FBEQ, FBNE, FBLT, FBLE:
-		return append(dst, in.A, in.B)
-	case BEQ, BNE, BLT, BLE, BGT, BGE:
-		dst = append(dst, in.A)
-		if !in.UseImm {
-			dst = append(dst, in.B)
-		}
-		return dst
-	default: // three-address ALU/FP ops
-		dst = append(dst, in.A)
-		if !in.UseImm && in.B.Valid() {
-			dst = append(dst, in.B)
-		}
-		return dst
-	}
+// ReadsA reports whether the instruction reads a register through its A
+// slot (RET only when it returns a value).
+func (in *Instr) ReadsA() bool {
+	return in.Op.Meta().A != ClassNone && in.A.Valid()
 }
 
-// Def returns the register written by the instruction, or an invalid Reg.
-func (in *Instr) Def() Reg {
-	switch in.Op {
-	case ST, FST, BR, BEQ, BNE, BLT, BLE, BGT, BGE, FBEQ, FBNE, FBLT, FBLE,
-		NOP, HALT, RET, CONUSE, CONDEF, CONUU, CONDU, CONDD:
-		return Reg{}
-	case CALL:
-		return in.Dst // may be invalid for void calls
-	default:
-		return in.Dst
+// ReadsB reports whether the instruction reads a register through its B
+// slot; an immediate displaces B where the opcode allows one.
+func (in *Instr) ReadsB() bool {
+	m := in.Op.Meta()
+	return m.B != ClassNone && !(m.BImm && in.UseImm) && in.B.Valid()
+}
+
+// Uses appends the registers read by the instruction to dst and returns it:
+// A, then B, then an IR-level CALL's Args. Connect instructions read no
+// data registers (their operands are immediates).
+func (in *Instr) Uses(dst []Reg) []Reg {
+	if in.ReadsA() {
+		dst = append(dst, in.A)
 	}
+	if in.ReadsB() {
+		dst = append(dst, in.B)
+	}
+	return append(dst, in.Args...)
+}
+
+// Def returns the register written by the instruction, or an invalid Reg
+// (always for opcodes that write nothing; for a void CALL).
+func (in *Instr) Def() Reg {
+	if in.Op.Meta().Dst == ClassNone {
+		return Reg{}
+	}
+	return in.Dst
+}
+
+// CheckOperands reports whether the instruction's register operands fit
+// its opcode's schema: every slot the opcode writes or reads holds a
+// register of the slot's class (an optional slot either class or none,
+// and an immediate may stand in for B where the opcode allows one).
+// Unused slots are ignored, and register numbers are not range-checked:
+// their bounds depend on the form (virtual registers or map indices).
+func (in *Instr) CheckOperands() error {
+	if int(in.Op) >= NumOps {
+		return fmt.Errorf("unknown opcode %v", in.Op)
+	}
+	m := &Meta[in.Op]
+	if err := checkSlot("dst", in.Dst, m.Dst); err != nil {
+		return err
+	}
+	if err := checkSlot("srcA", in.A, m.A); err != nil {
+		return err
+	}
+	if m.BImm && in.UseImm {
+		return nil
+	}
+	return checkSlot("srcB", in.B, m.B)
+}
+
+// checkSlot checks one operand against its schema class.
+func checkSlot(slot string, r Reg, want RegClass) error {
+	switch want {
+	case ClassNone:
+		return nil
+	case ClassEither:
+		if r.Class <= ClassFloat {
+			return nil
+		}
+	default:
+		if r.Class == want {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s %v has class %v, want %v", slot, r, r.Class, want)
 }
 
 // ConnectPairs returns the (index, phys, isDef) triples of a connect

@@ -157,10 +157,12 @@ func (k Kind) String() string {
 }
 
 // OpMeta is the static description of one opcode: its functional-unit
-// (latency) class, classification flags, and operand roles. The table is
-// consulted once per instruction at predecode time; the simulator's hot
-// path reads the extracted Decoded form instead of re-deriving roles
-// through per-op switches.
+// (latency) class, classification flags, and operand schema. Register
+// connection adds registers without changing instruction formats (paper
+// §2), so each opcode has exactly one operand shape, and this table is its
+// only statement: Instr.Uses, Def, ReadsA, ReadsB and CheckOperands derive
+// from it. The table is consulted once per instruction at predecode time;
+// the simulator's hot path reads the extracted Decoded form instead.
 type OpMeta struct {
 	Name string
 	Kind Kind
@@ -172,11 +174,11 @@ type OpMeta struct {
 	CondBranch bool
 	Terminator bool // ends a basic block
 
-	// Operand roles.
-	HasDst bool // writes the Dst slot (may still be invalid, e.g. void CALL)
-	ReadsA bool // reads the A slot (for RET, only when A is valid)
-	ReadsB bool // reads the B slot
-	BImm   bool // the B slot may be replaced by an immediate (UseImm)
+	// Operand schema: the register class each slot holds. ClassNone marks
+	// an unused slot, ClassEither an optional one of either class (CALL's
+	// result, RET's value). Dst is written; A and B are read.
+	Dst, A, B RegClass
+	BImm      bool // the B slot may be replaced by an immediate (UseImm)
 
 	// Connect operand shape: number of (index, phys) pairs and whether
 	// each pair addresses the write map (def) or the read map (use).
@@ -184,18 +186,18 @@ type OpMeta struct {
 	PairDef [2]bool
 }
 
-// role bundles for the Meta literal below.
-func alu3(name string, k Kind) OpMeta {
-	return OpMeta{Name: name, Kind: k, HasDst: true, ReadsA: true, ReadsB: true, BImm: true}
+// Shape bundles for the Meta literal below.
+func alu3(name string, k Kind) OpMeta { // rd = ra op rb|imm
+	return OpMeta{Name: name, Kind: k, Dst: ClassInt, A: ClassInt, B: ClassInt, BImm: true}
 }
-func alu2(name string, k Kind) OpMeta {
-	return OpMeta{Name: name, Kind: k, HasDst: true, ReadsA: true}
+func fp3(name string, k Kind) OpMeta { // fd = fa op fb
+	return OpMeta{Name: name, Kind: k, Dst: ClassFloat, A: ClassFloat, B: ClassFloat}
 }
-func fp3(name string, k Kind) OpMeta {
-	return OpMeta{Name: name, Kind: k, HasDst: true, ReadsA: true, ReadsB: true}
+func unary(name string, k Kind, dst, a RegClass) OpMeta { // d = op a
+	return OpMeta{Name: name, Kind: k, Dst: dst, A: a}
 }
-func brCond(name string, bImm bool) OpMeta {
-	return OpMeta{Name: name, Kind: KindBranch, ReadsA: true, ReadsB: true, BImm: bImm,
+func brCond(name string, c RegClass) OpMeta { // if a cmp b goto Target
+	return OpMeta{Name: name, Kind: KindBranch, A: c, B: c, BImm: c == ClassInt,
 		Branch: true, CondBranch: true, Terminator: true}
 }
 func connect(name string, pairs uint8, d0, d1 bool) OpMeta {
@@ -215,39 +217,39 @@ var Meta = [NumOps]OpMeta{
 	SRL:    alu3("srl", KindIntALU),
 	SRA:    alu3("sra", KindIntALU),
 	SLT:    alu3("slt", KindIntALU),
-	MOV:    alu2("mov", KindIntALU),
+	MOV:    unary("mov", KindIntALU, ClassInt, ClassInt),
 	MUL:    alu3("mul", KindIntMul),
 	DIV:    alu3("div", KindIntDiv),
 	REM:    alu3("rem", KindIntDiv),
-	MOVI:   {Name: "movi", Kind: KindIntALU, HasDst: true},
-	LGA:    {Name: "lga", Kind: KindIntALU, HasDst: true},
-	LD:     {Name: "ld", Kind: KindLoad, Mem: true, HasDst: true, ReadsA: true},
-	ST:     {Name: "st", Kind: KindStore, Mem: true, ReadsA: true, ReadsB: true},
-	FLD:    {Name: "fld", Kind: KindLoad, Mem: true, HasDst: true, ReadsA: true},
-	FST:    {Name: "fst", Kind: KindStore, Mem: true, ReadsA: true, ReadsB: true},
+	MOVI:   {Name: "movi", Kind: KindIntALU, Dst: ClassInt},
+	LGA:    {Name: "lga", Kind: KindIntALU, Dst: ClassInt},
+	LD:     {Name: "ld", Kind: KindLoad, Mem: true, Dst: ClassInt, A: ClassInt},
+	ST:     {Name: "st", Kind: KindStore, Mem: true, A: ClassInt, B: ClassInt},
+	FLD:    {Name: "fld", Kind: KindLoad, Mem: true, Dst: ClassFloat, A: ClassInt},
+	FST:    {Name: "fst", Kind: KindStore, Mem: true, A: ClassInt, B: ClassFloat},
 	FADD:   fp3("fadd", KindFPALU),
 	FSUB:   fp3("fsub", KindFPALU),
 	FMUL:   fp3("fmul", KindFPMul),
 	FDIV:   fp3("fdiv", KindFPDiv),
-	FMOV:   alu2("fmov", KindFPALU),
-	FMOVI:  {Name: "fmovi", Kind: KindFPALU, HasDst: true},
-	FNEG:   alu2("fneg", KindFPALU),
-	FABS:   alu2("fabs", KindFPALU),
-	CVTIF:  alu2("cvtif", KindFPConv),
-	CVTFI:  alu2("cvtfi", KindFPConv),
+	FMOV:   unary("fmov", KindFPALU, ClassFloat, ClassFloat),
+	FMOVI:  {Name: "fmovi", Kind: KindFPALU, Dst: ClassFloat},
+	FNEG:   unary("fneg", KindFPALU, ClassFloat, ClassFloat),
+	FABS:   unary("fabs", KindFPALU, ClassFloat, ClassFloat),
+	CVTIF:  unary("cvtif", KindFPConv, ClassFloat, ClassInt),
+	CVTFI:  unary("cvtfi", KindFPConv, ClassInt, ClassFloat),
 	BR:     {Name: "br", Kind: KindBranch, Branch: true, Terminator: true},
-	BEQ:    brCond("beq", true),
-	BNE:    brCond("bne", true),
-	BLT:    brCond("blt", true),
-	BLE:    brCond("ble", true),
-	BGT:    brCond("bgt", true),
-	BGE:    brCond("bge", true),
-	FBEQ:   brCond("fbeq", false),
-	FBNE:   brCond("fbne", false),
-	FBLT:   brCond("fblt", false),
-	FBLE:   brCond("fble", false),
-	CALL:   {Name: "call", Kind: KindCall, HasDst: true}, // IR CALL also reads Args
-	RET:    {Name: "ret", Kind: KindCall, ReadsA: true, Terminator: true},
+	BEQ:    brCond("beq", ClassInt),
+	BNE:    brCond("bne", ClassInt),
+	BLT:    brCond("blt", ClassInt),
+	BLE:    brCond("ble", ClassInt),
+	BGT:    brCond("bgt", ClassInt),
+	BGE:    brCond("bge", ClassInt),
+	FBEQ:   brCond("fbeq", ClassFloat),
+	FBNE:   brCond("fbne", ClassFloat),
+	FBLT:   brCond("fblt", ClassFloat),
+	FBLE:   brCond("fble", ClassFloat),
+	CALL:   {Name: "call", Kind: KindCall, Dst: ClassEither}, // IR CALL also reads Args
+	RET:    {Name: "ret", Kind: KindCall, A: ClassEither, Terminator: true},
 	CONUSE: connect("con_use", 1, false, false),
 	CONDEF: connect("con_def", 1, true, false),
 	CONUU:  connect("con_uu", 2, false, false),

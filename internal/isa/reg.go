@@ -10,6 +10,11 @@ const (
 	ClassNone  RegClass = iota // no register (operand unused / immediate)
 	ClassInt                   // integer file
 	ClassFloat                 // floating-point file
+
+	// ClassEither appears only in the operand schema (OpMeta): an
+	// optional slot that may hold a register of either class. No Reg
+	// carries it.
+	ClassEither
 )
 
 func (c RegClass) String() string {
@@ -18,8 +23,12 @@ func (c RegClass) String() string {
 		return "int"
 	case ClassFloat:
 		return "float"
+	case ClassEither:
+		return "int or float"
+	case ClassNone:
+		return "none"
 	}
-	return "none"
+	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
 // Reg names a register. Before register allocation N is a virtual register

@@ -123,11 +123,16 @@ func recoverInitFault(err *error) {
 // arena's allocations, and the micro-op stream is re-predecoded only when
 // (img, cfg.Chain, cfg.Lat) changed since the previous Reset. The
 // subsequent RunContext is bit-identical to a run on a fresh Machine.
+// Reset first admits the code as Check does; a rejected image leaves the
+// arena unarmed.
 func (m *Machine) Reset(img *Image, cfg Config) (err error) {
+	m.armed = false
 	if err := cfg.normalize(); err != nil {
 		return err
 	}
-	m.armed = false
+	if err := cfg.checkCode(img.Code); err != nil {
+		return err
+	}
 	defer recoverInitFault(&err)
 	m.ensureShared(cfg)
 	s := m.proc(0)
@@ -181,13 +186,18 @@ func (m *Machine) RunMultiprogrammedContext(ctx context.Context, imgs []*Image, 
 	if len(imgs) == 0 || quantum <= 0 {
 		return nil, fmt.Errorf("machine: need processes and a positive quantum")
 	}
+	m.armed = false
 	if err := cfg.normalize(); err != nil {
 		return nil, err
+	}
+	for i, img := range imgs {
+		if err := cfg.checkCode(img.Code); err != nil {
+			return nil, fmt.Errorf("process %d: %w", i, err)
+		}
 	}
 	if _, ok := cfg.Probe.(*PCProf); ok {
 		return nil, errors.New("machine: a PCProf profiles single-process runs only")
 	}
-	m.armed = false
 	defer recoverInitFault(&err)
 
 	m.ensureShared(cfg)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"regconn/internal/codegen"
+	"regconn/internal/core"
 	"regconn/internal/ir"
 	"regconn/internal/isa"
 	"regconn/internal/mem"
@@ -89,6 +90,61 @@ func TestMemSizeBounds(t *testing.T) {
 		if errors.As(err, &re) {
 			t.Errorf("MemSize %d: %v is a guest fault, want a config error", tc.size, err)
 		}
+	}
+}
+
+// TestResetRejectsInadmissibleCode pins the simulator's admission check:
+// code or a configuration it cannot run — an operand outside its map or of
+// the wrong class, a target outside the code, IR call arguments, a register
+// file outside 1 <= core <= total <= core.MaxRegs — fails Check and Reset
+// with an error before any state is touched, never a host panic, and the
+// arena stays usable afterwards.
+func TestResetRejectsInadmissibleCode(t *testing.T) {
+	cfg := cfg1()
+	cfg.IntCore, cfg.FPCore = 8, 8
+	ok := asm(movi(2, 5), halt())
+	for _, tc := range []struct {
+		name string
+		img  *Image
+		edit func(*Config)
+	}{
+		{"register beyond map", asm(movi(20, 5), halt()), nil},
+		{"float base for ld", asm(isa.Instr{Op: isa.LD, Dst: isa.IntReg(2), A: isa.FloatReg(3)}, halt()), nil},
+		{"float dst for add", asm(isa.Instr{Op: isa.ADD, Dst: isa.FloatReg(7), A: isa.IntReg(2), B: isa.IntReg(2)}, halt()), nil},
+		{"missing source", asm(isa.Instr{Op: isa.ADD, Dst: isa.IntReg(2), A: isa.IntReg(2)}, halt()), nil},
+		{"unknown opcode", asm(isa.Instr{Op: isa.Op(isa.NumOps)}, halt()), nil},
+		{"connect beyond file", asm(isa.Instr{Op: isa.CONUSE, CIdx: [2]uint16{1}, CPhys: [2]uint16{300}}, halt()), nil},
+		{"branch outside code", asm(isa.Instr{Op: isa.BR, Target: 9}, halt()), nil},
+		{"call arguments", asm(isa.Instr{Op: isa.CALL, Sym: "t", Args: []isa.Reg{isa.IntReg(2)}}, halt()), nil},
+		{"zero int core", ok, func(c *Config) { c.IntCore = 0 }},
+		{"total below core", ok, func(c *Config) { c.IntTotal = 4 }},
+		{"total above cap", ok, func(c *Config) { c.FPTotal = core.MaxRegs + 1 }},
+	} {
+		t.Run(strings.ReplaceAll(tc.name, " ", "-"), func(t *testing.T) {
+			c := cfg
+			if tc.edit != nil {
+				tc.edit(&c)
+			}
+			if err := Check(tc.img.Code, c); err == nil {
+				t.Error("Check admitted it")
+			}
+			if _, err := RunMultiprogrammed([]*Image{ok, tc.img}, c, 50, FullSave); err == nil {
+				t.Error("the multiprogrammed entry admitted it")
+			}
+			m := NewMachine()
+			if err := m.Reset(tc.img, c); err == nil {
+				t.Fatal("Reset admitted it")
+			}
+			if _, err := m.Run(); !errors.Is(err, errNotReset) {
+				t.Fatalf("run after a rejected Reset: %v, want errNotReset", err)
+			}
+			if err := m.Reset(ok, cfg); err != nil {
+				t.Fatalf("Reset after a rejection: %v", err)
+			}
+			if res, err := m.Run(); err != nil || res.RetInt != 5 {
+				t.Fatalf("run after a rejection: %v, %v", res, err)
+			}
+		})
 	}
 }
 

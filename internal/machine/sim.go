@@ -79,12 +79,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize validates the issue geometry and the memory size, and fills
-// the defaults shared by Run and RunMultiprogrammed, so the two entry
-// points cannot drift.
+// normalize validates the issue geometry, the register files and the
+// memory size, and fills the defaults shared by Run and RunMultiprogrammed,
+// so the two entry points cannot drift.
 func (cfg *Config) normalize() error {
 	if cfg.IssueRate <= 0 || cfg.MemChannels <= 0 {
 		return fmt.Errorf("machine: invalid config issue=%d channels=%d", cfg.IssueRate, cfg.MemChannels)
+	}
+	if cfg.IntCore < 1 || cfg.IntTotal < cfg.IntCore || cfg.IntTotal > core.MaxRegs ||
+		cfg.FPCore < 1 || cfg.FPTotal < cfg.FPCore || cfg.FPTotal > core.MaxRegs {
+		return fmt.Errorf("machine: register files int %d/%d, fp %d/%d (core/total) outside 1 <= core <= total <= %d",
+			cfg.IntCore, cfg.IntTotal, cfg.FPCore, cfg.FPTotal, core.MaxRegs)
 	}
 	if cfg.MemSize < 0 || cfg.MemSize > mem.MaxSize {
 		return fmt.Errorf("machine: memory size %d outside [0, %d]", cfg.MemSize, mem.MaxSize)
@@ -102,6 +107,67 @@ func (cfg *Config) normalize() error {
 		cfg.ReadPorts = 2 // a two-source instruction must always fit
 	}
 	return nil
+}
+
+// Check admits machine code for a run under cfg, exactly as Machine.Reset
+// and the multiprogrammed entry do before touching any state: cfg must
+// normalize, and every instruction must fit its opcode's operand schema
+// (isa.Instr.CheckOperands), read and write registers inside its class's
+// map, connect inside its class's map and file, carry no IR call
+// arguments, and branch or call inside the code. Code that reaches the
+// simulator from outside the compiler — a decoded trace, an assembled
+// program — thus fails with an error, never a host panic.
+func Check(code []isa.Instr, cfg Config) error {
+	if err := cfg.normalize(); err != nil {
+		return err
+	}
+	return cfg.checkCode(code)
+}
+
+// checkCode is Check's per-instruction half, over a normalized cfg. It
+// allocates nothing unless it fails.
+func (cfg *Config) checkCode(code []isa.Instr) error {
+	for pc := range code {
+		if err := cfg.checkInstr(&code[pc], len(code)); err != nil {
+			return fmt.Errorf("machine: pc %d: %w", pc, err)
+		}
+	}
+	return nil
+}
+
+func (cfg *Config) checkInstr(in *isa.Instr, n int) error {
+	if err := in.CheckOperands(); err != nil {
+		return err
+	}
+	if len(in.Args) > 0 {
+		return fmt.Errorf("%v carries IR call arguments", in.Op)
+	}
+	var regs [3]isa.Reg
+	for _, r := range append(in.Uses(regs[:0]), in.Def()) {
+		if m, _ := cfg.file(r.Class); r.Valid() && (r.N < 0 || r.N >= m) {
+			return fmt.Errorf("register %v outside map [0,%d)", r, m)
+		}
+	}
+	m, total := cfg.file(in.CClass)
+	for i := 0; i < int(in.Op.Meta().NPairs); i++ {
+		if int(in.CIdx[i]) >= m || int(in.CPhys[i]) >= total {
+			return fmt.Errorf("connect %d:%d outside map [0,%d) or file [0,%d)",
+				in.CIdx[i], in.CPhys[i], m, total)
+		}
+	}
+	if (in.Op.IsBranch() || in.Op == isa.CALL) && (in.Target < 0 || in.Target >= n) {
+		return fmt.Errorf("target %d outside code [0,%d)", in.Target, n)
+	}
+	return nil
+}
+
+// file returns the (map, file) sizes of a class's registers; connects of
+// any class but float address the integer file, as execConnect does.
+func (cfg *Config) file(c isa.RegClass) (int, int) {
+	if c == isa.ClassFloat {
+		return cfg.FPCore, cfg.FPTotal
+	}
+	return cfg.IntCore, cfg.IntTotal
 }
 
 // RuntimeError is a structured simulated-execution failure: the faulting

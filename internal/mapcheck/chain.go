@@ -41,8 +41,7 @@ func (v *verifier) runChain() {
 		if prod.Op.Kind() != isa.KindIntALU {
 			continue
 		}
-		m := prod.Op.Meta()
-		if !m.HasDst || !prod.Dst.Valid() || prod.Dst.Class != isa.ClassInt {
+		if prod.Def().Class != isa.ClassInt {
 			continue
 		}
 		p := pann.PDst
@@ -56,8 +55,8 @@ func (v *verifier) runChain() {
 		if cons.Op.Meta().Connect {
 			continue
 		}
-		chainA := readsA(cons) && cons.A.Class == isa.ClassInt && cann.PA == p
-		chainB := readsB(cons) && cons.B.Class == isa.ClassInt && cann.PB == p
+		chainA := cons.ReadsA() && cons.A.Class == isa.ClassInt && cann.PA == p
+		chainB := cons.ReadsB() && cons.B.Class == isa.ClassInt && cann.PB == p
 		if !chainA && !chainB {
 			continue
 		}
@@ -90,18 +89,17 @@ func (v *verifier) runChain() {
 // numbers directly and runIdentity enforces the agreement).
 func chainDefs(mf *codegen.MFunc, i int, p int32) bool {
 	in, ann := &mf.Code[i], &mf.Ann[i]
-	return in.Op.Meta().HasDst && in.Dst.Valid() &&
-		in.Dst.Class == isa.ClassInt && ann.PDst == p
+	return in.Def().Class == isa.ClassInt && ann.PDst == p
 }
 
 // chainReads reports whether the instruction at i reads integer physical
 // register p through A or B.
 func chainReads(mf *codegen.MFunc, i int, p int32) bool {
 	in, ann := &mf.Code[i], &mf.Ann[i]
-	if readsA(in) && in.A.Class == isa.ClassInt && ann.PA == p {
+	if in.ReadsA() && in.A.Class == isa.ClassInt && ann.PA == p {
 		return true
 	}
-	return readsB(in) && in.B.Class == isa.ClassInt && ann.PB == p
+	return in.ReadsB() && in.B.Class == isa.ClassInt && ann.PB == p
 }
 
 // chainDead mirrors codegen's dead-after proof: after the consumer at pc,

@@ -266,13 +266,13 @@ func (v *verifier) runIdentity() {
 					slot, idx, want)
 			}
 		}
-		if readsA(in) {
+		if in.ReadsA() {
 			check("A", in.A.N, ann.PA)
 		}
-		if readsB(in) {
+		if in.ReadsB() {
 			check("B", in.B.N, ann.PB)
 		}
-		if m.HasDst && in.Dst.Valid() {
+		if in.Def().Valid() {
 			if ann.PDst == codegen.NoPhys {
 				v.reportf(pc, RuleIntent, "destination written without intent annotation")
 			} else if int32(in.Dst.N) != ann.PDst {
@@ -282,31 +282,6 @@ func (v *verifier) runIdentity() {
 			}
 		}
 	}
-}
-
-// readsA and readsB report whether the machine instruction reads the given
-// operand slot as a register source (mirrors the Meta operand roles with
-// the RET-valid and immediate special cases).
-func readsA(in *isa.Instr) bool {
-	m := in.Op.Meta()
-	if !m.ReadsA {
-		return false
-	}
-	if in.Op == isa.RET {
-		return in.A.Valid()
-	}
-	return in.A.Valid()
-}
-
-func readsB(in *isa.Instr) bool {
-	m := in.Op.Meta()
-	if !m.ReadsB {
-		return false
-	}
-	if m.BImm && in.UseImm {
-		return false
-	}
-	return in.B.Valid()
 }
 
 // runRC verifies a with-RC function: forward dataflow to a fixpoint over
@@ -425,13 +400,13 @@ func (v *verifier) step(st *state, pc int, report bool) {
 	case in.Op == isa.HALT:
 		v.checkBoundary(st, pc, "halt", report)
 	default:
-		if readsA(in) {
+		if in.ReadsA() {
 			v.checkRead(st, pc, "A", in.A, ann.PA, report)
 		}
-		if readsB(in) {
+		if in.ReadsB() {
 			v.checkRead(st, pc, "B", in.B, ann.PB, report)
 		}
-		if m.HasDst && in.Dst.Valid() {
+		if in.Def().Valid() {
 			v.stepWrite(st, pc, ann.PDst, report)
 		}
 	}

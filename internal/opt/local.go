@@ -83,7 +83,7 @@ func simplifyBlock(f *ir.Func, b *ir.Block) bool {
 		}
 
 		// Immediate-ize integer second operands.
-		if !in.UseImm && in.B.Valid() && in.B.Class == isa.ClassInt && opTakesImm(in.Op) {
+		if !in.UseImm && in.B.Valid() && in.B.Class == isa.ClassInt && in.Op.Meta().BImm {
 			if c, ok := lat.consts[in.B]; ok {
 				in.B = isa.Reg{}
 				in.Imm = c
@@ -131,16 +131,6 @@ func simplifyBlock(f *ir.Func, b *ir.Block) bool {
 	}
 	b.Instrs = out
 	return changed
-}
-
-func opTakesImm(op isa.Op) bool {
-	switch op {
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR, isa.XOR,
-		isa.SLL, isa.SRL, isa.SRA, isa.SLT,
-		isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
-		return true
-	}
-	return false
 }
 
 // foldInstr applies constant folding, algebraic identity and strength

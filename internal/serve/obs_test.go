@@ -195,17 +195,7 @@ func startObsFleet(t *testing.T, n int) ([]replica, []*syncWriter) {
 func TestTwoReplicaRequestIDPropagation(t *testing.T) {
 	fleet, logs := startObsFleet(t, 2)
 	a, b := fleet[0], fleet[1]
-	grid := shardGrid()
-
-	var bOwned int
-	for _, arch := range grid.Archs {
-		if !a.sv.ring.local(Key("matrix300", arch)) {
-			bOwned++
-		}
-	}
-	if bOwned == 0 {
-		t.Fatal("shard grid gives replica B no points; the fan-out path is untested")
-	}
+	grid, bOwned := shardGridSplit(a)
 
 	const rid = "e2e-sweep.42"
 	body, _ := json.Marshal(grid)
@@ -505,16 +495,7 @@ func TestPeerLivenessGauges(t *testing.T) {
 		t.Fatalf("pre-contact ages = ok %v fail %v, want -1/-1 (keys: %v)", m[okKey], m[failKey], m)
 	}
 
-	grid := shardGrid()
-	var bOwned int
-	for _, arch := range grid.Archs {
-		if !a.sv.ring.local(Key("matrix300", arch)) {
-			bOwned++
-		}
-	}
-	if bOwned == 0 {
-		t.Fatal("shard grid gives replica B no points")
-	}
+	grid, _ := shardGridSplit(a)
 	postFleetSweep(t, a.base, grid)
 
 	m = metricsOf(t, a.base)

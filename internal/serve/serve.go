@@ -33,10 +33,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"regconn"
+	"regconn/internal/backend"
 	"regconn/internal/bench"
 	"regconn/internal/exp"
 	"regconn/internal/flight"
@@ -373,11 +375,18 @@ func resolveBenchmark(name string, spec *workload.Spec) (bench.Benchmark, error)
 }
 
 // checkArch rejects, before anything is generated or compiled, an
-// architecture the simulator would refuse only after Build: a memory size
-// outside [0, mem.MaxSize].
+// architecture Build would refuse only later: a memory size outside
+// [0, mem.MaxSize], or a Backend no backend is registered under (which
+// also bounds the one free-form string a sweep point re-spells when it
+// is forwarded to its owner).
 func checkArch(a regconn.Arch) error {
 	if a.MemSize < 0 || a.MemSize > mem.MaxSize {
 		return fmt.Errorf("arch: memory size %d outside [0, %d]", a.MemSize, mem.MaxSize)
+	}
+	if a.Backend != "" {
+		if _, err := backend.ByName(a.Backend); err != nil {
+			return fmt.Errorf("arch: %w", err)
+		}
 	}
 	return nil
 }
@@ -580,10 +589,38 @@ func writeError(w http.ResponseWriter, status int, body errorBody) {
 	json.NewEncoder(w).Encode(body)
 }
 
+// Request bounds. A sweep names at most maxSweepPoints points, as a cross
+// product or an explicit list (perfbench's serve-warm grid has 180, and a
+// sub-sweep forwarded between replicas spells out a slice of its parent's
+// points). Bodies are capped so a full point cap of explicit points fits:
+// maxPointBody is a generous bound on one SweepPoint's JSON.
+const (
+	maxSweepPoints = 4096
+	maxPointBody   = 4 << 10
+	maxSweepBody   = maxSweepPoints * maxPointBody
+	maxRunBody     = maxPointBody
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it answers 413 for an oversized body and 400 for a malformed
+// one, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	return false
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, maxRunBody, &req) {
 		return
 	}
 	if err := checkArch(req.Arch); err != nil {
@@ -668,17 +705,24 @@ func (s *Server) replayPoint(ctx context.Context, tr *workload.Trace, k string) 
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, maxSweepBody, &req) {
 		return
 	}
 	pts := req.Points
+	n := len(pts)
+	if n == 0 {
+		n = (len(req.Benchmarks) + len(req.Workloads)) * len(req.Archs)
+	}
+	if n > maxSweepPoints {
+		writeError(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("sweep has %d points, more than the cap of %d", n, maxSweepPoints)})
+		return
+	}
 	if len(pts) == 0 {
-		if (len(req.Benchmarks) == 0 && len(req.Workloads) == 0) || len(req.Archs) == 0 {
+		if n == 0 {
 			writeError(w, http.StatusBadRequest, errorBody{Error: "sweep needs at least one benchmark or workload and one arch (or explicit points)"})
 			return
 		}
-		pts = make([]SweepPoint, 0, (len(req.Benchmarks)+len(req.Workloads))*len(req.Archs))
+		pts = make([]SweepPoint, 0, n)
 		for _, name := range req.Benchmarks {
 			for _, arch := range req.Archs {
 				pts = append(pts, SweepPoint{Benchmark: name, Arch: arch})
@@ -739,8 +783,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		byOwner[j.owner] = append(byOwner[j.owner], j)
 	}
+	// The sweep completes only after every forward has read its peer's
+	// stream to EOF: each owning replica has then finished — logged and
+	// traced — its sub-sweep, and every peer.forward span has ended.
+	var forwards sync.WaitGroup
+	defer forwards.Wait()
 	for _, o := range owners {
-		go s.forwardSweep(ctx, o, byOwner[o])
+		forwards.Add(1)
+		go func() {
+			defer forwards.Done()
+			s.forwardSweep(ctx, o, byOwner[o])
+		}()
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

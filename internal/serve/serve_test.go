@@ -20,6 +20,8 @@ import (
 	"regconn/internal/core"
 	"regconn/internal/exp"
 	"regconn/internal/machine"
+	"regconn/internal/mem"
+	"regconn/internal/workload"
 )
 
 // fastArch is a cheap-to-simulate point used throughout these tests.
@@ -663,5 +665,86 @@ func TestSweepRivalBackendsWarmByteIdentical(t *testing.T) {
 	req.Archs = []regconn.Arch{{Issue: 4, LoadLatency: 2, Mode: regconn.PortReduce, IntCore: 16, FPCore: 32, CombineConnects: true}}
 	if got := strings.TrimRight(post(), "\n"); got != lines[3] {
 		t.Error("mode-number spelling of the portreduce point missed the cache or diverged")
+	}
+}
+
+// TestRequestBounds pins the input caps of /v1/run and /v1/sweep: an
+// oversized body is a structured 413, and a sweep of more than
+// maxSweepPoints points — as a cross product or an explicit list — or an
+// arch naming an unregistered backend a structured 400, answered before
+// any point is resolved. The daemon keeps serving afterwards.
+func TestRequestBounds(t *testing.T) {
+	sv := newServer(t, Config{Workers: 1})
+	srv := httptest.NewServer(sv)
+	defer srv.Close()
+
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// padded prefixes a valid body with whitespace up to the cap.
+	padded := func(limit int, body []byte) []byte {
+		return append(bytes.Repeat([]byte(" "), limit), body...)
+	}
+	run := mustJSON(RunRequest{Benchmark: "matrix300", Arch: fastArch()})
+	sweep := mustJSON(SweepRequest{Benchmarks: []string{"matrix300"}, Archs: []regconn.Arch{fastArch()}})
+	crossArchs := make([]regconn.Arch, maxSweepPoints/2+1)
+	for i := range crossArchs {
+		crossArchs[i] = fastArch()
+	}
+	explicit := make([]SweepPoint, maxSweepPoints+1)
+	for i := range explicit {
+		explicit[i] = SweepPoint{Benchmark: "matrix300", Arch: fastArch()}
+	}
+	// An unregistered Backend is the one free-form string in a point; a
+	// forwarded sub-sweep would repeat it once per point.
+	unknown := fastArch()
+	unknown.Backend = strings.Repeat("x", 2<<10)
+
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+		status     int
+	}{
+		{"run body over cap", "/v1/run", padded(maxRunBody, run), http.StatusRequestEntityTooLarge},
+		{"sweep body over cap", "/v1/sweep", padded(maxSweepBody, sweep), http.StatusRequestEntityTooLarge},
+		{"cross product over point cap", "/v1/sweep",
+			mustJSON(SweepRequest{Benchmarks: []string{"matrix300", "cmp"}, Archs: crossArchs}), http.StatusBadRequest},
+		{"explicit points over cap", "/v1/sweep", mustJSON(SweepRequest{Points: explicit}), http.StatusBadRequest},
+		{"unregistered backend", "/v1/run", mustJSON(RunRequest{Benchmark: "matrix300", Arch: unknown}), http.StatusBadRequest},
+		{"unregistered backend in a sweep", "/v1/sweep",
+			mustJSON(SweepRequest{Benchmarks: []string{"matrix300"}, Archs: []regconn.Arch{fastArch(), unknown}}), http.StatusBadRequest},
+	} {
+		t.Run(strings.ReplaceAll(c.name, " ", "-"), func(t *testing.T) {
+			resp, body := postRaw(t, srv, c.path, "application/json", c.body)
+			if resp.StatusCode != c.status {
+				t.Fatalf("status %d, want %d: %.200s", resp.StatusCode, c.status, body)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+				t.Fatalf("expected structured error body, got %.200s (err %v)", body, err)
+			}
+		})
+	}
+
+	// The body cap holds a full point cap of explicit points, each spelled
+	// with every field set — the shape of a forwarded sub-sweep.
+	spec := &workload.Spec{Profile: "multiprogrammed", Seed: 1<<63 - 1}
+	big := regconn.Arch{Issue: 8, MemChannels: 4, LoadLatency: 4, IntCore: 64, FPCore: 128,
+		Mode: regconn.WithRC, Model: core.ReadWriteReset, Backend: "portreduce", ReadPorts: 16,
+		ConnectLatency: 1, ExtraDecodeStage: true, CombineConnects: true, Windows: 1,
+		ExpandAccumulators: true, ScalarOnly: true, NoSchedule: true, Verify: true, Profile: true,
+		Trap:    regconn.TrapConfig{Interval: 1 << 40, HandlerCycles: 1 << 40, HandlerRegs: 1 << 40, UseEnableFlag: true, ContextSwitch: true, PSWFlag: true, ProgramUsesRC: true},
+		MemSize: mem.MaxSize}
+	if n := len(mustJSON(SweepPoint{Benchmark: spec.Name(), Arch: big, Workload: spec})) + 1; n > maxPointBody {
+		t.Errorf("a fully spelled sweep point takes %d bytes, over maxPointBody %d", n, maxPointBody)
+	}
+
+	resp, body := postRun(t, srv, RunRequest{Benchmark: "matrix300", Arch: fastArch()})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after rejected requests: %d: %s", resp.StatusCode, body)
 	}
 }

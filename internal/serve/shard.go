@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 
@@ -157,6 +158,8 @@ func (s *Server) relaySweep(ctx context.Context, owner string, jobs []*sweepJob,
 		s.met.peerForwarded.With(owner).Inc()
 		i++
 	}
+	// Read to EOF: the peer's handler has returned only then.
+	io.Copy(io.Discard, resp.Body)
 	return i
 }
 

@@ -94,6 +94,28 @@ func shardGrid() SweepRequest {
 	return SweepRequest{Benchmarks: []string{"matrix300"}, Archs: archs}
 }
 
+// shardGridSplit is shardGrid grown by memory-channel variants until a's
+// peer owns at least one point — the ring hashes random listen ports, so
+// the base grid alone gives it none about once in 256 runs — together
+// with the number of points the peer owns.
+func shardGridSplit(a replica) (SweepRequest, int) {
+	grid := shardGrid()
+	for ch := 1; ; ch++ {
+		peerOwned := 0
+		for _, arch := range grid.Archs {
+			if !a.sv.ring.local(Key("matrix300", arch)) {
+				peerOwned++
+			}
+		}
+		if peerOwned > 0 {
+			return grid, peerOwned
+		}
+		arch := fastArch()
+		arch.MemChannels = ch
+		grid.Archs = append(grid.Archs, arch)
+	}
+}
+
 func TestShardedSweepSplitsByOwnerAndMatchesUnsharded(t *testing.T) {
 	fleet := startFleet(t, 2, Config{Workers: 2})
 	a, b := fleet[0], fleet[1]

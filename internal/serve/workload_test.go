@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -277,6 +278,16 @@ func TestReplayEndpoint(t *testing.T) {
 			}
 		})},
 		{"memory size above cap", editedTrace(t, raw, func(tr *workload.Trace) { tr.Config.MemSize = 1 << 40 })},
+		// In range for its class but of the wrong class (the first LD's
+		// base is f20): it too passed the checksum and then panicked the
+		// daemon.
+		{"operand class mismatch", func() []byte {
+			b, err := os.ReadFile("../workload/testdata/bad_class.rctrace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}()},
 	}
 	for _, c := range bad {
 		c := c

@@ -167,9 +167,9 @@ func DecodeTrace(r io.Reader) (*Trace, string, error) {
 // Validate checks the structural invariants replay relies on so that a
 // hand-edited or corrupt-but-checksummed trace surfaces as a structured
 // error rather than a simulator fault: non-empty code, annotations 1:1
-// with it, entry and every branch/call target inside the code, every
-// register operand and connect pair inside its class's register file,
-// sane globals, and a runnable configuration.
+// with it, an entry inside it, sane globals, and code the simulator admits
+// under the recorded configuration (machine.Check: issue geometry,
+// register files, memory size, operand classes and bounds, targets).
 func (t *Trace) Validate() error {
 	if len(t.Code) == 0 {
 		return fmt.Errorf("%w: empty code", ErrBadTrace)
@@ -183,42 +183,6 @@ func (t *Trace) Validate() error {
 	if t.Entry == "" {
 		return fmt.Errorf("%w: empty entry name", ErrBadTrace)
 	}
-	c := &t.Config
-	// The simulator's map tables accept 1 <= core <= total <= 1<<16.
-	if c.IntCore < 1 || c.IntTotal < c.IntCore || c.IntTotal > 1<<16 ||
-		c.FPCore < 1 || c.FPTotal < c.FPCore || c.FPTotal > 1<<16 {
-		return fmt.Errorf("%w: register files int %d/%d, fp %d/%d (core/total)",
-			ErrBadTrace, c.IntCore, c.IntTotal, c.FPCore, c.FPTotal)
-	}
-	// file returns the (core, total) sizes of a class's register file;
-	// connects of any class but float address the integer file, as the
-	// simulator's execConnect does.
-	file := func(cl isa.RegClass) (int, int) {
-		if cl == isa.ClassFloat {
-			return c.FPCore, c.FPTotal
-		}
-		return c.IntCore, c.IntTotal
-	}
-	for pc := range t.Code {
-		in := &t.Code[pc]
-		if in.Op == isa.BR || in.Op == isa.CALL || in.Op.IsCondBranch() {
-			if in.Target < 0 || in.Target >= len(t.Code) {
-				return fmt.Errorf("%w: pc %d: target %d outside code [0,%d)", ErrBadTrace, pc, in.Target, len(t.Code))
-			}
-		}
-		for _, r := range [...]isa.Reg{in.Dst, in.A, in.B} {
-			if core, _ := file(r.Class); r.Valid() && (r.N < 0 || r.N >= core) {
-				return fmt.Errorf("%w: pc %d: register %v outside map [0,%d)", ErrBadTrace, pc, r, core)
-			}
-		}
-		core, total := file(in.CClass)
-		for i := 0; i < int(in.Op.Meta().NPairs); i++ {
-			if int(in.CIdx[i]) >= core || int(in.CPhys[i]) >= total {
-				return fmt.Errorf("%w: pc %d: connect %d:%d outside map [0,%d) or file [0,%d)",
-					ErrBadTrace, pc, in.CIdx[i], in.CPhys[i], core, total)
-			}
-		}
-	}
 	for _, g := range t.Globals {
 		if g.Name == "" || g.Size < 0 {
 			return fmt.Errorf("%w: global %q with size %d", ErrBadTrace, g.Name, g.Size)
@@ -227,11 +191,8 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("%w: global %q: initializer exceeds size %d", ErrBadTrace, g.Name, g.Size)
 		}
 	}
-	if t.Config.IssueRate < 1 {
-		return fmt.Errorf("%w: issue rate %d", ErrBadTrace, t.Config.IssueRate)
-	}
-	if c.MemSize < 0 || c.MemSize > mem.MaxSize {
-		return fmt.Errorf("%w: memory size %d outside [0, %d]", ErrBadTrace, c.MemSize, mem.MaxSize)
+	if err := machine.Check(t.Code, t.Config); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	return nil
 }

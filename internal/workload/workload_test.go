@@ -226,10 +226,7 @@ func TestTraceRoundTrip(t *testing.T) {
 // replay against its recorded oracle, and reproduce its recorded cycle and
 // instruction counts.
 func TestTraceV1Compat(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "v1_mixed0.rctrace"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := readFixture(t, "v1_mixed0.rctrace")
 	if !bytes.Contains(raw, []byte(`"Trace":null,"TraceCycles":0,"Prof":false,"Events":null`)) {
 		t.Fatal("fixture lacks the observer fields it exists to cover")
 	}
@@ -362,6 +359,12 @@ func TestTraceCorruption(t *testing.T) {
 			c.Config.MemSize = -8
 			return c
 		})},
+		// Class-mismatched operands inside their class's map used to pass
+		// and then panic replay: the simulator reads a slot by the class
+		// its opcode implies (LD's base is an integer register).
+		{"ld base of float class", readFixture(t, "bad_class.rctrace")},
+		{"add dst of float class", instr(func(in *isa.Instr) bool { return in.Op == isa.ADD },
+			func(in *isa.Instr) { in.Dst = isa.FloatReg(31) })},
 	}
 	for _, c := range cases {
 		c := c
@@ -374,16 +377,22 @@ func TestTraceCorruption(t *testing.T) {
 	}
 }
 
+// readFixture returns a file under testdata.
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestImagesAreSparse pins the memory images this package builds to the
 // pages their programs store to: generating a workload (its oracle
 // interpreter run) and replaying a trace (a fresh machine) each allocate
 // under 1 MiB, not a 16 MiB image.
 func TestImagesAreSparse(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "v1_mixed0.rctrace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := workload.DecodeTrace(bytes.NewReader(raw))
+	tr, _, err := workload.DecodeTrace(bytes.NewReader(readFixture(t, "v1_mixed0.rctrace")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ GO=${GO:-go}
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT INT TERM
 
-if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis; then
+if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis ./cmd/rcasm; then
     echo "exitcodes: build failed" >&2
     exit 1
 fi
@@ -110,6 +110,22 @@ expect 0 "$BIN/rcgen" replay "$BIN/c.rctrace"
 expect 0 "$BIN/rcgen" smoke -seeds 1 -profiles mixed
 printf 'rctrace 1 4 deadbeef\njunk' > "$BIN/bad.rctrace"
 expect 1 "$BIN/rcgen" replay "$BIN/bad.rctrace"
+# A checksummed trace whose first LD has a float base register.
+expect 1 "$BIN/rcgen" replay internal/workload/testdata/bad_class.rctrace
+
+# rcasm: assembled code reaches the simulator without the compiler, so
+# the simulator's admission check (machine.Check) must turn an operand
+# outside the map or an impossible register file into an error (exit 1),
+# never a Go panic (exit 2).
+expect 0 "$BIN/rcasm" examples/asm/sumext.s
+expect 0 "$BIN/rcasm" -dis examples/asm/sumext.s
+expect 1 "$BIN/rcasm" -intcore 0 examples/asm/sumext.s
+expect 1 "$BIN/rcasm" -intcore 8 -total 4 examples/asm/sumext.s
+expect 1 "$BIN/rcasm" -total 100000 examples/asm/sumext.s
+printf '.func main\n    movi r20, #5\n    halt\n' > "$BIN/r20.s"
+expect 1 "$BIN/rcasm" -intcore 8 "$BIN/r20.s"
+printf '.func main\n    fadd f1, f2, #3\n    halt\n' > "$BIN/fimm.s"
+expect 1 "$BIN/rcasm" "$BIN/fimm.s"
 
 # rclint: usage errors exit 2 (unknown backends list the registry); a
 # clean quick sweep exits 0, including the extension-backend matrix.
