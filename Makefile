@@ -12,11 +12,14 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate (see ROADMAP.md): build, vet, formatting,
-# full tests (shuffled, to keep inter-test ordering dependencies out),
-# the data-race checks on the parallel experiment runner, on the
-# rcserve daemon (request coalescing, cache, cancellation, sharding),
-# on the persistent result store (crash recovery) and on the
+# verify is the tier-1 gate (see ROADMAP.md): build, vet (the repository
+# and the perfbench module, which reaches the program only through its
+# exported APIs and is otherwise compiled only by a benchmark run),
+# formatting, full tests (shuffled, to keep inter-test ordering
+# dependencies out), the data-race checks on the parallel experiment
+# runner and its front-end memo, on the rcserve daemon (request
+# coalescing, cancellation, sharding) and the LRU behind its result
+# cache, on the persistent result store (crash recovery) and on the
 # observability layer (tracing, metrics registry), the CLI exit-code
 # contract (scripts/exitcodes.sh), the metric-table cross-check
 # (scripts/metricslint.sh), the static map-state verifier over the
@@ -30,11 +33,13 @@ test:
 # trace format with a verified replay).
 verify: build
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./internal/exp/...
 	$(GO) test -race ./internal/serve/...
+	$(GO) test -race ./internal/lru/...
 	$(GO) test -race ./internal/store/...
 	$(GO) test -race ./internal/obs/...
 	sh scripts/exitcodes.sh

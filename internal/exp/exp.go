@@ -179,14 +179,35 @@ var arenas = sync.Pool{New: func() any { return regconn.NewArena() }}
 // RunPoint is the uncached build+simulate+verify of one data point,
 // canceled through ctx. Every point also runs the static map-state verifier
 // (Arch.Verify): a sweep result is only reported for code rclint proved
-// correct. It is the execution primitive behind Runner.Run and the serve
-// daemon's cold path. When the context carries an obs span (a traced
-// rcserve request), the build and execute phases open child spans; with
-// no span in the context the instrumentation is nil no-ops.
+// correct. It is the execution primitive behind Runner.Run; the serve
+// daemon's cold path is the same method on its front-end memo. When the
+// context carries an obs span (a traced rcserve request), the build and
+// execute phases open child spans; with no span in the context the
+// instrumentation is nil no-ops.
 func RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
+	return (*Frontends)(nil).RunPoint(ctx, bm, arch)
+}
+
+// RunPoint is the package-level RunPoint with the point's front end taken
+// from the memo (a nil memo compiles it privately). The build span covers
+// the front-end lookup and the back end, and its frontend attribute says
+// whether the front end was compiled or reused.
+func (m *Frontends) RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 	arch.Verify = true
 	_, buildSpan := obs.StartSpan(ctx, "build")
-	ex, err := regconn.Build(bm.Build(), arch)
+	fe, reused, err := m.frontend(ctx, bm, arch)
+	var ex *regconn.Executable
+	if err == nil {
+		how := "compiled"
+		if reused {
+			how = "reused"
+		}
+		buildSpan.Set("frontend", how)
+		if m != nil && m.Observe != nil {
+			m.Observe(how)
+		}
+		ex, err = fe.Build(arch)
+	}
 	buildSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", bm.Name, err)

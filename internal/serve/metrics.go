@@ -7,6 +7,7 @@ import (
 
 	"regconn"
 	"regconn/internal/backend"
+	"regconn/internal/lru"
 	"regconn/internal/obs"
 	"regconn/internal/store"
 )
@@ -43,6 +44,7 @@ type metrics struct {
 	peerOKAge        *obs.GaugeVec   // by peer; refreshed at scrape
 	peerFailAge      *obs.GaugeVec   // by peer; refreshed at scrape
 	storeErrors      *obs.Counter
+	frontends        *obs.CounterVec // by result (compiled|reused)
 
 	health *peerHealth // nil when unsharded
 
@@ -53,7 +55,7 @@ type metrics struct {
 // the scrape-time gauges; peers are the fleet's other replicas, whose
 // liveness series exist from startup so a scrape sees a never-contacted
 // peer as age -1 rather than as a missing series.
-func newMetrics(cache *lruCache, st *store.Store, peers []string) *metrics {
+func newMetrics(cache *lru.Cache[[]byte], st *store.Store, peers []string) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg: reg,
@@ -81,13 +83,15 @@ func newMetrics(cache *lruCache, st *store.Store, peers []string) *metrics {
 			"seconds since the last failed forward to the peer (-1 = never)", "peer"),
 		storeErrors: reg.Counter("rcserve_store_errors_total",
 			"store appends that failed (result still served)"),
+		frontends: reg.CounterVec("rcserve_frontends_total",
+			"simulated points by how they got their front end (compiled, reused)", "result"),
 	}
 	reg.GaugeFunc("rcserve_cache_entries",
 		"entries resident in the LRU result cache",
-		func() float64 { return float64(cache.len()) })
+		func() float64 { return float64(cache.Len()) })
 	reg.GaugeFunc("rcserve_cache_evictions",
 		"entries evicted from the LRU since start",
-		func() float64 { return float64(cache.evicted()) })
+		func() float64 { return float64(cache.Evicted()) })
 	if st != nil {
 		reg.GaugeFunc("rcserve_store_entries", "points in the persistent store",
 			func() float64 { return float64(st.Stats().Entries) })
@@ -160,7 +164,7 @@ func floatFunc(f func() float64) expvar.Func { return func() any { return f() } 
 // the same flat map[string]float64 shape as before the obs registry,
 // every key a live view over the labeled families. It is built exactly
 // once; Server.Metrics hands out this same *expvar.Map on every call.
-func (m *metrics) buildLegacyMap(cache *lruCache, st *store.Store, peers []string) *expvar.Map {
+func (m *metrics) buildLegacyMap(cache *lru.Cache[[]byte], st *store.Store, peers []string) *expvar.Map {
 	out := new(expvar.Map).Init()
 	sum := func(v *obs.CounterVec) expvar.Func {
 		return intFunc(func() int64 { return v.Sum(nil) })
@@ -181,8 +185,10 @@ func (m *metrics) buildLegacyMap(cache *lruCache, st *store.Store, peers []strin
 	out.Set("peer_forwarded", sum(m.peerForwarded))
 	out.Set("peer_fallback", sum(m.peerFallback))
 	out.Set("store_errors", intFunc(m.storeErrors.Value))
-	out.Set("cache_entries", intFunc(func() int64 { return int64(cache.len()) }))
-	out.Set("cache_evictions", intFunc(cache.evicted))
+	out.Set("frontends_compiled", intFunc(m.frontends.With("compiled").Value))
+	out.Set("frontends_reused", intFunc(m.frontends.With("reused").Value))
+	out.Set("cache_entries", intFunc(func() int64 { return int64(cache.Len()) }))
+	out.Set("cache_evictions", intFunc(cache.Evicted))
 	if st != nil {
 		out.Set("store_entries", intFunc(func() int64 { return st.Stats().Entries }))
 		out.Set("store_bytes", intFunc(func() int64 { return st.Stats().Bytes }))

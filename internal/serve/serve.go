@@ -10,8 +10,10 @@
 // crash-recoverable result corpus, read through into the LRU) →
 // waiter-counted singleflight (concurrent identical requests collapse to
 // one simulation; the simulation's context is canceled only when every
-// waiter has gone) → bounded worker pool → exp.RunPoint, whose context
-// reaches machine.RunContext's cycle loop. Canceled or failed points are
+// waiter has gone) → bounded worker pool → the front-end memo's RunPoint,
+// whose context reaches machine.RunContext's cycle loop. The memo
+// (exp.Frontends, 2 × Workers entries) compiles each program's front end
+// once for all the back ends that share it. Canceled or failed points are
 // never cached, so a cancellation cannot corrupt later results. With
 // -peers, /v1/sweep additionally shards grid points across replicas by
 // consistent key hash (shard.go) so a fleet splits the corpus.
@@ -38,12 +40,11 @@ import (
 	"time"
 
 	"regconn"
-	"regconn/internal/backend"
 	"regconn/internal/bench"
 	"regconn/internal/exp"
 	"regconn/internal/flight"
+	"regconn/internal/lru"
 	"regconn/internal/machine"
-	"regconn/internal/mem"
 	"regconn/internal/obs"
 	"regconn/internal/store"
 	"regconn/internal/workload"
@@ -88,15 +89,16 @@ type Config struct {
 // Server implements the HTTP API. Create with New; it is an http.Handler.
 type Server struct {
 	cfg        Config
-	cache      *lruCache
-	store      *store.Store // nil = memory-only
-	ring       *ring        // nil = unsharded
+	cache      *lru.Cache[[]byte] // marshaled response bytes: a warm hit is the cold run's bytes
+	store      *store.Store       // nil = memory-only
+	ring       *ring              // nil = unsharded
 	peerClient *http.Client
 	flights    *flight.Group[[]byte] // marshaled response bytes per key
 	met        *metrics
 	obs        *serveObs
 	sem        chan struct{}
-	runner     *exp.Runner // memoized figure generation
+	frontends  *exp.Frontends // front ends shared by a program's points
+	runner     *exp.Runner    // memoized figure generation
 	mux        *http.ServeMux
 	draining   atomic.Bool
 }
@@ -108,12 +110,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = 1024
+	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   newLRUCache(cfg.CacheSize),
+		cache:   lru.New[[]byte](cfg.CacheSize),
 		flights: flight.NewGroup[[]byte](),
 		sem:     make(chan struct{}, cfg.Workers),
-		runner:  exp.NewRunner(),
+		// Two front ends per worker slot: a slot's current program and
+		// the next, so a sweep's back ends find theirs.
+		frontends: exp.NewFrontends(2 * cfg.Workers),
+		runner:    exp.NewRunner(),
 	}
 	if cfg.TraceDir != "" {
 		if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
@@ -149,6 +157,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.met = newMetrics(s.cache, s.store, others)
+	s.frontends.Observe = func(result string) { s.met.frontends.With(result).Inc() }
 	s.obs = newServeObs(cfg)
 	s.runner.Workers = cfg.Workers
 	mux := http.NewServeMux()
@@ -374,23 +383,6 @@ func resolveBenchmark(name string, spec *workload.Spec) (bench.Benchmark, error)
 	return workload.ByName(name)
 }
 
-// checkArch rejects, before anything is generated or compiled, an
-// architecture Build would refuse only later: a memory size outside
-// [0, mem.MaxSize], or a Backend no backend is registered under (which
-// also bounds the one free-form string a sweep point re-spells when it
-// is forwarded to its owner).
-func checkArch(a regconn.Arch) error {
-	if a.MemSize < 0 || a.MemSize > mem.MaxSize {
-		return fmt.Errorf("arch: memory size %d outside [0, %d]", a.MemSize, mem.MaxSize)
-	}
-	if a.Backend != "" {
-		if _, err := backend.ByName(a.Backend); err != nil {
-			return fmt.Errorf("arch: %w", err)
-		}
-	}
-	return nil
-}
-
 // errorBody is any endpoint's failure payload.
 type errorBody struct {
 	Benchmark string `json:"benchmark,omitempty"`
@@ -471,7 +463,7 @@ func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch reg
 		s.met.observe(endpoint, arch, src, time.Since(start))
 	}()
 	lk := span.Child("cache.lookup")
-	b, ok := s.cache.get(k)
+	b, ok := s.cache.Get(k)
 	lk.End()
 	if ok {
 		return b, srcHit, nil
@@ -483,7 +475,7 @@ func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch reg
 		if ok {
 			// Read through: promote the durable record into the LRU so the
 			// next hit skips the store index.
-			s.cache.put(k, b)
+			s.cache.Put(k, b)
 			return b, srcHit, nil
 		}
 	}
@@ -520,7 +512,7 @@ func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch reg
 				s.met.storeErrors.Inc()
 			}
 		}
-		s.cache.put(k, b)
+		s.cache.Put(k, b)
 		return b, nil
 	})
 	// A true miss is the flight owner alone; everyone who joined its
@@ -534,7 +526,7 @@ func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch reg
 }
 
 // point answers one (benchmark, arch) coordinate through resolve; a miss
-// is simulated by exp.RunPoint under a "simulate" span.
+// is simulated by the front-end memo's RunPoint under a "simulate" span.
 func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch) ([]byte, pointSource, error) {
 	// Canonicalize before keying so the cached response body names the
 	// point the same way the key hashes it, whichever spelling (Backend
@@ -542,7 +534,7 @@ func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark,
 	arch = arch.Canonical()
 	k := Key(bm.Name, arch)
 	return s.resolve(ctx, endpoint, bm.Name, k, arch, "simulate", func(ctx context.Context) (any, error) {
-		res, err := exp.RunPoint(ctx, bm, arch)
+		res, err := s.frontends.RunPoint(ctx, bm, arch)
 		if err != nil {
 			return nil, err
 		}
@@ -623,7 +615,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxRunBody, &req) {
 		return
 	}
-	if err := checkArch(req.Arch); err != nil {
+	// Validate before anything is generated or compiled: an arch Build
+	// would refuse, or one that would crash or hang it, is a 400.
+	if err := req.Arch.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, errorBody{Benchmark: req.Benchmark, Error: err.Error()})
 		return
 	}
@@ -734,16 +728,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	// Each distinct benchmark coordinate resolves once: a generated
+	// workload is generated (program plus interpreter oracle) once per
+	// sweep, not once per arch.
+	type coord struct {
+		name string
+		spec workload.Spec
+		gen  bool
+	}
+	resolved := map[coord]bench.Benchmark{}
 	jobs := make([]*sweepJob, len(pts))
 	for i, p := range pts {
-		if err := checkArch(p.Arch); err != nil {
+		if err := p.Arch.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, errorBody{Benchmark: p.Benchmark, Error: err.Error()})
 			return
 		}
-		bm, err := resolveBenchmark(p.Benchmark, p.Workload)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, errorBody{Benchmark: p.Benchmark, Error: err.Error()})
-			return
+		c := coord{name: p.Benchmark}
+		if p.Workload != nil {
+			c.spec, c.gen = *p.Workload, true
+		}
+		bm, ok := resolved[c]
+		if !ok {
+			var err error
+			if bm, err = resolveBenchmark(p.Benchmark, p.Workload); err != nil {
+				writeError(w, http.StatusBadRequest, errorBody{Benchmark: p.Benchmark, Error: err.Error()})
+				return
+			}
+			resolved[c] = bm
 		}
 		jobs[i] = &sweepJob{bm: bm, arch: p, key: Key(bm.Name, p.Arch), ch: make(chan result, 1)}
 	}

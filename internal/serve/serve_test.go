@@ -283,7 +283,7 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	defer srv.Close()
 
 	good := fastArch()
-	bad := regconn.Arch{} // Issue 0: the machine config is invalid
+	bad := memSizeArch(4096) // valid, but the program's data faults at run time
 	body, _ := json.Marshal(SweepRequest{
 		Benchmarks: []string{"matrix300"},
 		Archs:      []regconn.Arch{good, bad},
@@ -333,8 +333,10 @@ func TestSweepAllPointsFailedCountsError(t *testing.T) {
 	srv := httptest.NewServer(sv)
 	defer srv.Close()
 
-	bad1 := regconn.Arch{}          // Issue 0: invalid machine config
-	bad2 := regconn.Arch{Issue: -4} // still invalid, distinct key
+	// Valid archs (so the sweep starts) whose memory images are too small
+	// for the program: each point faults at run time, under its own key.
+	bad1 := memSizeArch(4096)
+	bad2 := memSizeArch(8192)
 	body, _ := json.Marshal(SweepRequest{
 		Benchmarks: []string{"matrix300"},
 		Archs:      []regconn.Arch{bad1, bad2},
@@ -671,8 +673,8 @@ func TestSweepRivalBackendsWarmByteIdentical(t *testing.T) {
 // TestRequestBounds pins the input caps of /v1/run and /v1/sweep: an
 // oversized body is a structured 413, and a sweep of more than
 // maxSweepPoints points — as a cross product or an explicit list — or an
-// arch naming an unregistered backend a structured 400, answered before
-// any point is resolved. The daemon keeps serving afterwards.
+// arch that fails Arch.Validate a structured 400, answered before any
+// point is resolved. The one-worker daemon keeps serving afterwards.
 func TestRequestBounds(t *testing.T) {
 	sv := newServer(t, Config{Workers: 1})
 	srv := httptest.NewServer(sv)
@@ -704,11 +706,43 @@ func TestRequestBounds(t *testing.T) {
 	unknown := fastArch()
 	unknown.Backend = strings.Repeat("x", 2<<10)
 
-	for _, c := range []struct {
+	type tc struct {
 		name, path string
 		body       []byte
 		status     int
+	}
+	// Archs Arch.Validate rejects. Before it, a core count outside
+	// [abi.MinCore, TotalRegs] panicked in the flight goroutine and killed
+	// the daemon, and a negative channel count looped the list scheduler
+	// forever, holding the only worker slot: the run at the end of this
+	// test then timed out.
+	invalid := []tc{
+		{"reproduction int core 300", "/v1/run", []byte(`{"benchmark":"cpp","arch":{"Issue":4,"IntCore":300}}`), http.StatusBadRequest},
+		{"reproduction negative channels", "/v1/run", []byte(`{"benchmark":"cpp","arch":{"Issue":4,"MemChannels":-1}}`), http.StatusBadRequest},
+	}
+	for _, h := range []struct {
+		name string
+		edit func(*regconn.Arch)
 	}{
+		{"int core below min", func(a *regconn.Arch) { a.IntCore = 4 }},
+		{"negative int core", func(a *regconn.Arch) { a.IntCore = -1 }},
+		{"fp core above total", func(a *regconn.Arch) { a.FPCore = regconn.TotalRegs + 1 }},
+		{"negative channels", func(a *regconn.Arch) { a.MemChannels = -1 }},
+		{"zero issue", func(a *regconn.Arch) { a.Issue = 0 }},
+		{"negative load latency", func(a *regconn.Arch) { a.LoadLatency = -1 }},
+		{"negative connect latency", func(a *regconn.Arch) { a.ConnectLatency = -1 }},
+		{"negative read ports", func(a *regconn.Arch) { a.ReadPorts = -1 }},
+		{"unregistered mode", func(a *regconn.Arch) { a.Mode = 99 }},
+	} {
+		a := fastArch()
+		h.edit(&a)
+		invalid = append(invalid,
+			tc{h.name, "/v1/run", mustJSON(RunRequest{Benchmark: "cpp", Arch: a}), http.StatusBadRequest},
+			tc{h.name + " in a sweep", "/v1/sweep",
+				mustJSON(SweepRequest{Benchmarks: []string{"cpp"}, Archs: []regconn.Arch{fastArch(), a}}), http.StatusBadRequest})
+	}
+
+	for _, c := range append([]tc{
 		{"run body over cap", "/v1/run", padded(maxRunBody, run), http.StatusRequestEntityTooLarge},
 		{"sweep body over cap", "/v1/sweep", padded(maxSweepBody, sweep), http.StatusRequestEntityTooLarge},
 		{"cross product over point cap", "/v1/sweep",
@@ -717,7 +751,7 @@ func TestRequestBounds(t *testing.T) {
 		{"unregistered backend", "/v1/run", mustJSON(RunRequest{Benchmark: "matrix300", Arch: unknown}), http.StatusBadRequest},
 		{"unregistered backend in a sweep", "/v1/sweep",
 			mustJSON(SweepRequest{Benchmarks: []string{"matrix300"}, Archs: []regconn.Arch{fastArch(), unknown}}), http.StatusBadRequest},
-	} {
+	}, invalid...) {
 		t.Run(strings.ReplaceAll(c.name, " ", "-"), func(t *testing.T) {
 			resp, body := postRaw(t, srv, c.path, "application/json", c.body)
 			if resp.StatusCode != c.status {
@@ -743,7 +777,7 @@ func TestRequestBounds(t *testing.T) {
 		t.Errorf("a fully spelled sweep point takes %d bytes, over maxPointBody %d", n, maxPointBody)
 	}
 
-	resp, body := postRun(t, srv, RunRequest{Benchmark: "matrix300", Arch: fastArch()})
+	resp, body := postRun(t, srv, RunRequest{Benchmark: "grep", Arch: fastArch(), TimeoutMS: 5000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run after rejected requests: %d: %s", resp.StatusCode, body)
 	}

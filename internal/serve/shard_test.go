@@ -144,10 +144,10 @@ func TestShardedSweepSplitsByOwnerAndMatchesUnsharded(t *testing.T) {
 
 	// Affinity: each replica cached exactly the points it owns — the
 	// fleet holds one copy of the corpus, not two.
-	if got := a.sv.cache.len(); got != aOwned {
+	if got := a.sv.cache.Len(); got != aOwned {
 		t.Errorf("replica A cached %d points, owns %d", got, aOwned)
 	}
-	if got := b.sv.cache.len(); got != bOwned {
+	if got := b.sv.cache.Len(); got != bOwned {
 		t.Errorf("replica B cached %d points, owns %d", got, bOwned)
 	}
 	if fwd := metricsOf(t, a.base)["peer_forwarded"]; fwd != float64(bOwned) {

@@ -239,19 +239,147 @@ func (e *Executable) SaveRestoreGrowth() float64 {
 	return float64(e.SaveRestoreExts) / float64(e.PreAllocSize)
 }
 
-// Build compiles the program for the architecture. The input program is
-// never mutated: compilation (which optimizes and profiles IR in place)
-// works on a deep copy, so one constructed program can be built under many
-// architectures — the fuzz oracle and the workload generator both rely on
-// this.
-func Build(p *ir.Program, arch Arch) (*Executable, error) {
-	arch = arch.normalize()
-	// Reject a non-positive issue rate here rather than letting the list
-	// scheduler spin forever on a machine that can never issue (the
-	// simulator's own config check comes too late to help).
-	if arch.Issue <= 0 {
-		return nil, fmt.Errorf("regconn: invalid issue rate %d", arch.Issue)
+// Validate reports whether Build can compile the architecture and the
+// simulator can run it, before any work is done: an issue rate of at least
+// one; non-negative memory channels, load and connect latencies and read
+// ports (0 selects each one's default); core register counts that are 0
+// (the default) or in [abi.MinCore, TotalRegs]; a memory size in
+// [0, mem.MaxSize]; and a registered backend. Build and NewFrontend call
+// it first, and rcserve answers a failure with a 400. Latencies have no
+// upper bound: a long one is slow, but its run stays cancelable.
+func (a Arch) Validate() error {
+	core := func(n int) bool { return n == 0 || abi.MinCore <= n && n <= TotalRegs }
+	switch {
+	case a.Issue < 1:
+		return fmt.Errorf("arch: issue rate %d, want at least 1", a.Issue)
+	case a.MemChannels < 0:
+		return fmt.Errorf("arch: negative memory channels %d", a.MemChannels)
+	case a.LoadLatency < 0:
+		return fmt.Errorf("arch: negative load latency %d", a.LoadLatency)
+	case a.ConnectLatency < 0:
+		return fmt.Errorf("arch: negative connect latency %d", a.ConnectLatency)
+	case a.ReadPorts < 0:
+		return fmt.Errorf("arch: negative read ports %d", a.ReadPorts)
+	case !core(a.IntCore):
+		return fmt.Errorf("arch: integer core %d outside [%d, %d] (0 = default)", a.IntCore, abi.MinCore, TotalRegs)
+	case !core(a.FPCore):
+		return fmt.Errorf("arch: floating-point core %d outside [%d, %d] (0 = default)", a.FPCore, abi.MinCore, TotalRegs)
+	case a.MemSize < 0 || a.MemSize > mem.MaxSize:
+		return fmt.Errorf("arch: memory size %d outside [0, %d]", a.MemSize, mem.MaxSize)
 	}
+	if _, err := a.resolveBackend(); err != nil {
+		return fmt.Errorf("arch: %w", err)
+	}
+	return nil
+}
+
+// FrontendKey is what a front end depends on in an Arch: whether the ILP
+// transformations run and, when they do, the unroll factor and
+// accumulator expansion. Every other field shapes only the back end.
+type FrontendKey struct {
+	ScalarOnly         bool
+	Unroll             int
+	ExpandAccumulators bool
+}
+
+// FrontendKey returns the front-end key of the architecture. Under
+// ScalarOnly the ILP knobs are zeroed: the transformations they steer
+// never run.
+func (a Arch) FrontendKey() FrontendKey {
+	if a.ScalarOnly {
+		return FrontendKey{ScalarOnly: true}
+	}
+	return FrontendKey{Unroll: ilp.UnrollFactorFor(a.Issue), ExpandAccumulators: a.ExpandAccumulators}
+}
+
+// Frontend is the architecture-independent half of a build: the program
+// verified, optimized, ILP-transformed and profiled for one FrontendKey,
+// plus the interpreter oracle. Its Build runs the back end for any Arch
+// with that key. Back ends only read the front end, so one Frontend may
+// build many executables, concurrently; its IR and Golden must not be
+// modified.
+type Frontend struct {
+	// IR is the optimized, profiled program; every executable built from
+	// the front end shares it as its MProg.IR.
+	IR *ir.Program
+	// Golden is the interpreter run of IR: the profile the back end reads
+	// and the oracle every executable is verified against.
+	Golden *interp.Result
+
+	key FrontendKey
+}
+
+// NewFrontend runs the front end of Build for the architecture: IR
+// verification, the definite-assignment check, a private deep copy,
+// classical optimization, the pre-ILP profiling run and ILP
+// transformation (unless ScalarOnly), and the final profiling run. The
+// input program is never mutated.
+func NewFrontend(p *ir.Program, arch Arch) (*Frontend, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, fmt.Errorf("regconn: %w", err)
+	}
+	if err := ir.Verify(p); err != nil {
+		return nil, fmt.Errorf("regconn: verify: %w", err)
+	}
+	for _, f := range p.Funcs {
+		if err := analysis.CheckDefiniteAssignment(f); err != nil {
+			return nil, fmt.Errorf("regconn: %w", err)
+		}
+	}
+	key := arch.FrontendKey()
+
+	// 1. Classical optimization (always on — §5.1: all benchmarks get
+	// full classical optimization). From here on every pass rewrites IR
+	// in place, so work on a private deep copy: the caller's program
+	// stays byte-identical however many times it is built.
+	p = ir.Clone(p)
+	opt.Classical(p)
+
+	// 2. ILP transformation sized to the issue rate, guided by a
+	// trip-count profile (low-trip loops are not worth unrolling).
+	if !key.ScalarOnly {
+		interp.ClearProfile(p)
+		if _, err := interp.Run(p, "main", nil, interp.Options{Profile: true}); err != nil {
+			return nil, fmt.Errorf("regconn: pre-ILP profiling run: %w", err)
+		}
+		ilp.Transform(p, key.Unroll, key.ExpandAccumulators)
+	}
+
+	// 3. Re-profile the final IR: allocator priorities, branch
+	// prediction, and the correctness oracle all come from this run.
+	interp.ClearProfile(p)
+	golden, err := interp.Run(p, "main", nil, interp.Options{Profile: true})
+	if err != nil {
+		return nil, fmt.Errorf("regconn: profiling run: %w", err)
+	}
+	return &Frontend{IR: p, Golden: golden, key: key}, nil
+}
+
+// Build compiles the program for the architecture: NewFrontend, then the
+// front end's Build. The input program is never mutated: compilation
+// (which optimizes and profiles IR in place) works on a deep copy, so one
+// constructed program can be built under many architectures — the fuzz
+// oracle and the workload generator both rely on this.
+func Build(p *ir.Program, arch Arch) (*Executable, error) {
+	fe, err := NewFrontend(p, arch)
+	if err != nil {
+		return nil, err
+	}
+	return fe.Build(arch)
+}
+
+// Build runs the back end for the architecture — register allocation,
+// code generation, list scheduling, the backend's finishing pass, the
+// static map-state check (Arch.Verify) and loading — and returns the
+// executable. The architecture must have the front end's key.
+func (fe *Frontend) Build(arch Arch) (*Executable, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, fmt.Errorf("regconn: %w", err)
+	}
+	if k := arch.FrontendKey(); k != fe.key {
+		return nil, fmt.Errorf("regconn: arch front-end key %+v, but the front end was compiled for %+v", k, fe.key)
+	}
+	arch = arch.normalize()
 	be, err := arch.resolveBackend()
 	if err != nil {
 		return nil, fmt.Errorf("regconn: %w", err)
@@ -267,39 +395,7 @@ func Build(p *ir.Program, arch Arch) (*Executable, error) {
 		Windows:         arch.Windows,
 		ReadPorts:       arch.ReadPorts,
 	}
-	if err := ir.Verify(p); err != nil {
-		return nil, fmt.Errorf("regconn: verify: %w", err)
-	}
-	for _, f := range p.Funcs {
-		if err := analysis.CheckDefiniteAssignment(f); err != nil {
-			return nil, fmt.Errorf("regconn: %w", err)
-		}
-	}
-
-	// 1. Classical optimization (always on — §5.1: all benchmarks get
-	// full classical optimization). From here on every pass rewrites IR
-	// in place, so work on a private deep copy: the caller's program
-	// stays byte-identical however many times it is built.
-	p = ir.Clone(p)
-	opt.Classical(p)
-
-	// 2. ILP transformation sized to the issue rate, guided by a
-	// trip-count profile (low-trip loops are not worth unrolling).
-	if !arch.ScalarOnly {
-		interp.ClearProfile(p)
-		if _, err := interp.Run(p, "main", nil, interp.Options{Profile: true}); err != nil {
-			return nil, fmt.Errorf("regconn: pre-ILP profiling run: %w", err)
-		}
-		ilp.Transform(p, ilp.UnrollFactorFor(arch.Issue), arch.ExpandAccumulators)
-	}
-
-	// 3. Re-profile the final IR: allocator priorities, branch
-	// prediction, and the correctness oracle all come from this run.
-	interp.ClearProfile(p)
-	golden, err := interp.Run(p, "main", nil, interp.Options{Profile: true})
-	if err != nil {
-		return nil, fmt.Errorf("regconn: profiling run: %w", err)
-	}
+	p := fe.IR
 
 	// 4. Register allocation. The backend shapes the file and selects the
 	// allocation strategy.
@@ -335,7 +431,7 @@ func Build(p *ir.Program, arch Arch) (*Executable, error) {
 		Arch:         arch,
 		MProg:        mp,
 		Alloc:        pa,
-		Golden:       golden,
+		Golden:       fe.Golden,
 		PreAllocSize: preSize,
 	}
 	for _, f := range mp.Funcs {

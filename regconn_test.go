@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"regconn/internal/mem"
 )
 
 func TestDefaultMemChannels(t *testing.T) {
@@ -183,5 +185,59 @@ func TestWindowPolicyThroughFacade(t *testing.T) {
 		if _, err := ex.Verify(); err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
+	}
+}
+
+// TestValidate pins Arch.Validate's rules at their edges, and that Build
+// returns each rejection as an error before doing any work: a core count
+// outside [abi.MinCore, TotalRegs] used to panic in the calling
+// convention, and a negative channel count looped the list scheduler
+// forever.
+func TestValidate(t *testing.T) {
+	with := func(edit func(*Arch)) Arch {
+		a := Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32, Mode: WithRC}
+		edit(&a)
+		return a
+	}
+	for _, a := range []Arch{
+		Baseline(),
+		with(func(a *Arch) { a.IntCore, a.FPCore = 0, 0 }),
+		with(func(a *Arch) { a.IntCore, a.FPCore = 8, TotalRegs }),
+		with(func(a *Arch) { a.MemSize = mem.MaxSize }),
+		with(func(a *Arch) { a.Backend = "chain" }),
+		with(func(a *Arch) { a.LoadLatency, a.ConnectLatency, a.ReadPorts = 1000, 1000, 1000 }),
+	} {
+		if err := a.Validate(); err != nil {
+			t.Errorf("%+v: %v, want valid", a, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		arch Arch
+	}{
+		{"zero issue", with(func(a *Arch) { a.Issue = 0 })},
+		{"negative issue", with(func(a *Arch) { a.Issue = -4 })},
+		{"negative channels", with(func(a *Arch) { a.MemChannels = -1 })},
+		{"negative load latency", with(func(a *Arch) { a.LoadLatency = -1 })},
+		{"negative connect latency", with(func(a *Arch) { a.ConnectLatency = -1 })},
+		{"negative read ports", with(func(a *Arch) { a.ReadPorts = -1 })},
+		{"int core below min", with(func(a *Arch) { a.IntCore = 4 })},
+		{"negative int core", with(func(a *Arch) { a.IntCore = -8 })},
+		{"int core above total", with(func(a *Arch) { a.IntCore = 300 })},
+		{"fp core below min", with(func(a *Arch) { a.FPCore = 7 })},
+		{"fp core above total", with(func(a *Arch) { a.FPCore = TotalRegs + 1 })},
+		{"negative memory size", with(func(a *Arch) { a.MemSize = -8 })},
+		{"memory size above cap", with(func(a *Arch) { a.MemSize = mem.MaxSize + 1 })},
+		{"unregistered backend", with(func(a *Arch) { a.Backend = "nosuch" })},
+		{"unregistered mode", with(func(a *Arch) { a.Mode = 99 })},
+	} {
+		t.Run(strings.ReplaceAll(c.name, " ", "-"), func(t *testing.T) {
+			if err := c.arch.Validate(); err == nil {
+				t.Fatalf("%+v validated", c.arch)
+			}
+			if _, err := Build(buildLoopSum(), c.arch); err == nil || !strings.HasPrefix(err.Error(), "regconn: arch: ") {
+				t.Fatalf("Build error %v, want the Validate error", err)
+			}
+		})
 	}
 }

@@ -67,6 +67,11 @@ expect 1 "$BIN/rcrun" -bench grep -model 9
 expect 1 "$BIN/rcrun" -bench grep -model 0
 expect_msg 1 "$BACKEND_LIST" "$BIN/rcrun" -bench grep -mode junk
 expect 1 "$BIN/rcrun" -bench nosuchbench
+# Arch.Validate: a core count below abi.MinCore used to panic (exit 2) in
+# the calling convention, and a negative channel count hung the list
+# scheduler; both are config errors before any compile.
+expect 1 "$BIN/rcrun" -bench cpp -intcore 4
+expect 1 "$BIN/rcrun" -bench cpp -channels -1
 expect 0 "$BIN/rcrun" -bench grep
 expect 0 "$BIN/rcrun" -bench grep -mode portreduce
 expect 0 "$BIN/rcrun" -bench grep -mode chain
