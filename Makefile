@@ -18,7 +18,8 @@ test:
 # formatting, full tests (shuffled, to keep inter-test ordering
 # dependencies out), the data-race checks on the parallel experiment
 # runner and its front-end memo, on the rcserve daemon (request
-# coalescing, cancellation, sharding) and the LRU behind its result
+# coalescing, cancellation, sharding), the waiter-counted flight under
+# its resolver and the front-end memo, and the LRU behind its result
 # cache, on the persistent result store (crash recovery) and on the
 # observability layer (tracing, metrics registry), the CLI exit-code
 # contract (scripts/exitcodes.sh), the metric-table cross-check
@@ -39,6 +40,7 @@ verify: build
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./internal/exp/...
 	$(GO) test -race ./internal/serve/...
+	$(GO) test -race ./internal/flight/...
 	$(GO) test -race ./internal/lru/...
 	$(GO) test -race ./internal/store/...
 	$(GO) test -race ./internal/obs/...

@@ -29,13 +29,9 @@ func main() {
 
 func run() error {
 	var (
-		bmName  = flag.String("bench", "grep", "benchmark name or generated workload (gen/<profile>/<seed>)")
-		fnName  = flag.String("func", "", "only this function (default: all)")
-		mode    = flag.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
-		intCore = flag.Int("intcore", 16, "core integer registers")
-		fpCore  = flag.Int("fpcore", 32, "core floating-point registers")
-		issue   = flag.Int("issue", 4, "issue rate")
-		model   = flag.Int("model", 3, "RC model 1..4")
+		bmName = flag.String("bench", "grep", "benchmark name or generated workload (gen/<profile>/<seed>)")
+		fnName = flag.String("func", "", "only this function (default: all)")
+		archOf = cli.ArchFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -43,16 +39,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rcModel, err := cli.ParseModel(*model)
+	arch, err := archOf()
 	if err != nil {
-		return err
-	}
-	arch := regconn.Arch{
-		Issue: *issue, LoadLatency: 2,
-		IntCore: *intCore, FPCore: *fpCore,
-		Model: rcModel, CombineConnects: true,
-	}
-	if arch.Mode, err = cli.ParseMode(*mode); err != nil {
 		return err
 	}
 	ex, err := regconn.Build(bm.Build(), arch)

@@ -80,33 +80,15 @@ func list() error {
 	return nil
 }
 
-// archFlags registers the architecture flags shared by emit and smoke and
-// returns a closure resolving them into an Arch.
+// archFlags registers emit's architecture flags, the shared set plus
+// -load and -readports, and returns a closure resolving them into an Arch.
 func archFlags(fs *flag.FlagSet) func() (regconn.Arch, error) {
-	var (
-		issue   = fs.Int("issue", 4, "issue rate")
-		load    = fs.Int("load", 2, "load latency")
-		intCore = fs.Int("intcore", 16, "core integer registers")
-		fpCore  = fs.Int("fpcore", 32, "core floating-point registers")
-		mode    = fs.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
-		ports   = fs.Int("readports", 0, "read ports for portreduce (0 = issue rate)")
-		model   = fs.Int("model", 3, "RC automatic-reset model 1..4")
-	)
+	shared := cli.ArchFlags(fs)
+	load := fs.Int("load", 2, "load latency")
+	ports := fs.Int("readports", 0, "read ports for portreduce (0 = issue rate)")
 	return func() (regconn.Arch, error) {
-		m, err := cli.ParseModel(*model)
-		if err != nil {
-			return regconn.Arch{}, err
-		}
-		arch := regconn.Arch{
-			Issue:           *issue,
-			LoadLatency:     *load,
-			IntCore:         *intCore,
-			FPCore:          *fpCore,
-			Model:           m,
-			ReadPorts:       *ports,
-			CombineConnects: true,
-		}
-		arch.Mode, err = cli.ParseMode(*mode)
+		arch, err := shared()
+		arch.LoadLatency, arch.ReadPorts = *load, *ports
 		return arch, err
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"text/tabwriter"
 
@@ -48,13 +47,9 @@ func main() {
 func run() error {
 	var (
 		bmName    = flag.String("bench", "grep", "benchmark name or generated workload (gen/<profile>/<seed>)")
-		issue     = flag.Int("issue", 4, "issue rate (1/2/4/8)")
+		archOf    = cli.ArchFlags(flag.CommandLine)
 		load      = flag.Int("load", 2, "load latency in cycles (2 or 4)")
 		channels  = flag.Int("channels", 0, "memory channels (0 = paper default)")
-		intCore   = flag.Int("intcore", 16, "core integer registers")
-		fpCore    = flag.Int("fpcore", 32, "core floating-point registers")
-		mode      = flag.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
-		model     = flag.Int("model", 3, "RC automatic-reset model 1..4")
 		connLat   = flag.Int("connect-latency", 0, "connect latency (0 or 1)")
 		noComb    = flag.Bool("no-combine", false, "disable combined connects")
 		scalar    = flag.Bool("scalar", false, "scalar optimization only (no ILP)")
@@ -76,25 +71,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rcModel, err := cli.ParseModel(*model)
+	arch, err := archOf()
 	if err != nil {
 		return err
 	}
-	arch := regconn.Arch{
-		Issue:           *issue,
-		MemChannels:     *channels,
-		LoadLatency:     *load,
-		IntCore:         *intCore,
-		FPCore:          *fpCore,
-		Model:           rcModel,
-		ConnectLatency:  *connLat,
-		CombineConnects: !*noComb,
-		ScalarOnly:      *scalar,
-		Profile:         true,
-	}
-	if arch.Mode, err = cli.ParseMode(*mode); err != nil {
-		return err
-	}
+	arch.MemChannels = *channels
+	arch.LoadLatency = *load
+	arch.ConnectLatency = *connLat
+	arch.CombineConnects = !*noComb
+	arch.ScalarOnly = *scalar
+	arch.Profile = true
 
 	if *models {
 		return compareModels(bm, arch)

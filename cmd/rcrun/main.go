@@ -52,14 +52,10 @@ func run() error {
 	var (
 		bmName   = flag.String("bench", "grep", "benchmark name (see -list)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
-		issue    = flag.Int("issue", 4, "issue rate (1/2/4/8)")
+		archOf   = cli.ArchFlags(flag.CommandLine)
 		load     = flag.Int("load", 2, "load latency in cycles (2 or 4)")
 		channels = flag.Int("channels", 0, "memory channels (0 = paper default)")
-		intCore  = flag.Int("intcore", 16, "core integer registers")
-		fpCore   = flag.Int("fpcore", 32, "core floating-point registers")
-		mode     = flag.String("mode", "rc", "register backend: "+strings.Join(cli.ModeNames(), ", "))
 		ports    = flag.Int("readports", 0, "register-file read ports for portreduce (0 = issue rate)")
-		model    = flag.Int("model", 3, "RC automatic-reset model 1..4")
 		connLat  = flag.Int("connect-latency", 0, "connect latency (0 or 1)")
 		stage    = flag.Bool("extra-stage", false, "extra decode pipeline stage")
 		noComb   = flag.Bool("no-combine", false, "disable combined connects")
@@ -92,27 +88,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rcModel, err := cli.ParseModel(*model)
+	arch, err := archOf()
 	if err != nil {
 		return err
 	}
-	arch := regconn.Arch{
-		Issue:            *issue,
-		MemChannels:      *channels,
-		LoadLatency:      *load,
-		IntCore:          *intCore,
-		FPCore:           *fpCore,
-		Model:            rcModel,
-		ConnectLatency:   *connLat,
-		ExtraDecodeStage: *stage,
-		CombineConnects:  !*noComb,
-		ScalarOnly:       *scalar,
-		ReadPorts:        *ports,
-	}
-	if arch.Mode, err = cli.ParseMode(*mode); err != nil {
-		return err
-	}
-
+	arch.MemChannels = *channels
+	arch.LoadLatency = *load
+	arch.ConnectLatency = *connLat
+	arch.ExtraDecodeStage = *stage
+	arch.CombineConnects = !*noComb
+	arch.ScalarOnly = *scalar
+	arch.ReadPorts = *ports
 	arch.Profile = *profFlag
 	ex, err := regconn.Build(bm.Build(), arch)
 	if err != nil {
@@ -182,7 +168,7 @@ func run() error {
 
 	fmt.Printf("benchmark   %s (stands in for %s)\n", bm.Name, bm.Paper)
 	fmt.Printf("arch        %d-issue, %d mem channels, %d-cycle load, %s, int=%d fp=%d\n",
-		ex.Arch.Issue, ex.Arch.MemChannels, ex.Arch.LoadLatency, arch.Mode, *intCore, *fpCore)
+		ex.Arch.Issue, ex.Arch.MemChannels, ex.Arch.LoadLatency, arch.Mode, arch.IntCore, arch.FPCore)
 	if arch.Mode == regconn.WithRC {
 		fmt.Printf("rc          model %v, %d-cycle connects, extra stage %v, combined %v\n",
 			arch.Model, arch.ConnectLatency, arch.ExtraDecodeStage, arch.CombineConnects)

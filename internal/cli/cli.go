@@ -6,7 +6,9 @@
 package cli
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 
 	"regconn"
 	"regconn/internal/backend"
@@ -46,4 +48,35 @@ func ParseModel(n int) (core.Model, error) {
 		return 0, fmt.Errorf("invalid RC model %d (want 1..4)", n)
 	}
 	return m, nil
+}
+
+// ArchFlags registers on fs the architecture flags the simulator tools
+// share: -issue 4, -intcore 16, -fpcore 32, -mode rc and -model 3, the
+// paper's center point. The returned function parses them into an Arch
+// with 2-cycle loads and combined connects; a tool with more architecture
+// flags sets those fields on the result.
+func ArchFlags(fs *flag.FlagSet) func() (regconn.Arch, error) {
+	var (
+		issue   = fs.Int("issue", 4, "issue rate (1/2/4/8)")
+		intCore = fs.Int("intcore", 16, "core integer registers")
+		fpCore  = fs.Int("fpcore", 32, "core floating-point registers")
+		mode    = fs.String("mode", "rc", "register backend: "+strings.Join(ModeNames(), ", "))
+		model   = fs.Int("model", 3, "RC automatic-reset model 1..4")
+	)
+	return func() (regconn.Arch, error) {
+		m, err := ParseModel(*model)
+		if err != nil {
+			return regconn.Arch{}, err
+		}
+		arch := regconn.Arch{
+			Issue:           *issue,
+			LoadLatency:     2,
+			IntCore:         *intCore,
+			FPCore:          *fpCore,
+			Model:           m,
+			CombineConnects: true,
+		}
+		arch.Mode, err = ParseMode(*mode)
+		return arch, err
+	}
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -68,6 +69,37 @@ func TestParseModel(t *testing.T) {
 	for _, n := range []int{0, -1, 5, 9} {
 		if _, err := ParseModel(n); err == nil {
 			t.Errorf("ParseModel(%d) succeeded, want error", n)
+		}
+	}
+}
+
+// TestArchFlags pins the shared flag block: its defaults are the paper's
+// center point with 2-cycle loads and combined connects, set flags land
+// in their fields, and bad -model and -mode values are errors.
+func TestArchFlags(t *testing.T) {
+	parse := func(args ...string) (regconn.Arch, error) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		arch := ArchFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return arch()
+	}
+	got, err := parse()
+	want := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32,
+		Mode: regconn.WithRC, Model: core.WriteResetReadUpdate, CombineConnects: true}
+	if err != nil || got != want {
+		t.Errorf("defaults = %+v, %v; want %+v", got, err, want)
+	}
+	got, err = parse("-issue", "8", "-intcore", "24", "-fpcore", "48", "-mode", "chain", "-model", "1")
+	want = regconn.Arch{Issue: 8, LoadLatency: 2, IntCore: 24, FPCore: 48,
+		Mode: regconn.Chain, Model: core.Model(1), CombineConnects: true}
+	if err != nil || got != want {
+		t.Errorf("set flags = %+v, %v; want %+v", got, err, want)
+	}
+	for _, args := range [][]string{{"-model", "9"}, {"-mode", "junk"}} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("%v parsed, want an error", args)
 		}
 	}
 }

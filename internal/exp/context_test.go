@@ -16,10 +16,9 @@ func TestRunContextCancelDoesNotPoisonCache(t *testing.T) {
 	bm := r.Benchmarks[0]
 	arch := regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC, IntCore: 16, FPCore: 32}
 
-	// A caller abandoning a flight gets its own context's error (the
-	// execution may still be running for other waiters — rcserve's flight
-	// semantics), so the error matches context.Canceled but not
-	// necessarily machine.ErrCanceled.
+	// A context that is already done computes nothing: the caller gets
+	// the context's own error, context.Canceled, not a machine.ErrCanceled
+	// from a started simulation.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.RunContext(ctx, bm, arch); err == nil {

@@ -21,7 +21,6 @@ import (
 
 	"regconn"
 	"regconn/internal/bench"
-	"regconn/internal/flight"
 	"regconn/internal/machine"
 	"regconn/internal/obs"
 )
@@ -41,17 +40,16 @@ type Result struct {
 
 // Runner executes benchmark/architecture pairs with memoization — the
 // baseline run of each benchmark is shared by every figure. It is safe for
-// concurrent use: duplicate in-flight points collapse onto one waiter-
-// counted flight (internal/flight, the same mechanism as the rcserve
-// daemon), so one caller abandoning a point cannot cancel the simulation
-// for the others. Every experiment states its rows once and hands them to
-// one grid evaluator (eval), which simulates the distinct points across a
-// bounded worker pool and then reads the table values in row order from
-// the memo, so tables and errors are the same at any worker count.
+// concurrent use, but it does not coalesce: two concurrent calls for one
+// uncached point both execute it, and the first to finish is kept. No
+// caller asks for one point twice at once — every experiment states its
+// rows once and hands them to one grid evaluator (eval), which simulates
+// the distinct points across a bounded worker pool and then reads the
+// table values in row order from the memo, so tables and errors are the
+// same at any worker count.
 type Runner struct {
-	mu      sync.Mutex
-	done    map[string]memo        // completed points (results and non-cancel errors)
-	flights *flight.Group[*Result] // in-flight points
+	mu   sync.Mutex
+	done map[string]memo // completed points (results and non-cancel errors)
 
 	// Workers bounds the worker pool (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
@@ -67,11 +65,10 @@ type Runner struct {
 	// concurrent use.
 	Progress func(done, total int)
 
-	// runPoint overrides the execution primitive (nil = RunPoint). It is a
-	// test seam: flight semantics — waiter counting, cancellation of
-	// abandoned executions — are probed with deterministic stand-ins
-	// instead of real multi-second simulations.
-	runPoint func(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error)
+	// Point computes one uncached point (nil = RunPoint). rcserve's
+	// figures resolve their points through the daemon's cache, store and
+	// worker slots with it; tests stub it. Called from worker goroutines.
+	Point func(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error)
 }
 
 // memo is one completed point: the memoized result or its terminal error.
@@ -110,8 +107,7 @@ func key(name string, a regconn.Arch) string {
 }
 
 // Run builds and simulates one benchmark under one architecture, verifying
-// the result against the interpreter oracle. Concurrent calls for the same
-// point share one execution.
+// the result against the interpreter oracle.
 func (r *Runner) Run(bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 	return r.RunContext(context.Background(), bm, arch)
 }
@@ -121,52 +117,39 @@ func canceledErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunContext is Run under a cancelable context. Concurrent requests for
-// one point join a waiter-counted flight: the execution's context is
-// canceled only when the last waiter has gone away, so an impatient caller
-// gets its own context error while the remaining waiters still receive the
-// completed result. Cancellation never poisons the memo — only completed
-// results and terminal (non-cancel) errors are stored, and an abandoned
-// execution's key is released immediately, so the next request recomputes
-// instead of replaying a stale cancellation forever.
+// RunContext is Run under a cancelable context. Completed results and
+// terminal (non-cancel) errors are memoized, and the first write wins, so
+// every caller sees one pointer per point. A cancellation is never kept:
+// the next request for the point computes it afresh.
 func (r *Runner) RunContext(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	k := key(bm.Name, arch)
 	r.mu.Lock()
-	if m, ok := r.done[k]; ok {
-		r.mu.Unlock()
+	m, ok := r.done[k]
+	r.mu.Unlock()
+	if ok {
 		return m.res, m.err
 	}
-	if r.flights == nil {
-		r.flights = flight.NewGroup[*Result]()
-	}
-	g := r.flights
-	run := r.runPoint
+	run := r.Point
 	if run == nil {
 		run = RunPoint
 	}
-	r.mu.Unlock()
-	res, err, _ := g.Do(ctx, k, func(fctx context.Context) (*Result, error) {
-		res, err := run(fctx, bm, arch)
-		if err == nil || !canceledErr(err) {
-			// Memoize inside the flight, before it completes: a caller
-			// arriving after completion but before memoization would
-			// otherwise start a duplicate simulation.
-			r.mu.Lock()
-			if r.done == nil {
-				r.done = map[string]memo{}
-			}
-			r.done[k] = memo{res, err}
-			r.mu.Unlock()
-		}
-		return res, err
-	})
-	if err != nil {
+	res, err := run(ctx, bm, arch)
+	if canceledErr(err) {
 		return nil, err
 	}
-	return res, nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.done[k]; ok {
+		return m.res, m.err
+	}
+	if r.done == nil {
+		r.done = map[string]memo{}
+	}
+	r.done[k] = memo{res, err}
+	return res, err
 }
 
 // arenas pools simulation arenas across points and workers: a sweep's

@@ -10,7 +10,7 @@ import (
 // TestParallelRunnerMatchesSequential: the worker-pool fan-out must be
 // invisible in the output — every table is bit-for-bit identical whether
 // points are simulated concurrently or one at a time. Run with -race to
-// also exercise the singleflight cache under contention.
+// also exercise the memo under contention.
 func TestParallelRunnerMatchesSequential(t *testing.T) {
 	par := NewQuickRunner()
 	par.Workers = 4
@@ -54,6 +54,6 @@ func TestWarmCollapsesDuplicates(t *testing.T) {
 		t.Errorf("memo holds %d entries after 16 cells naming one point, want 1", n)
 	}
 	if calls := sc.calls[key(bm.Name, regconn.Baseline())]; len(sc.calls) != 1 || calls != 1 {
-		t.Errorf("runPoint ran %d distinct points, the named one %d times; want 1 and 1", len(sc.calls), calls)
+		t.Errorf("Point ran %d distinct points, the named one %d times; want 1 and 1", len(sc.calls), calls)
 	}
 }

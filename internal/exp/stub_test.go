@@ -48,7 +48,7 @@ func stubResult(k string) *Result {
 // non-nil, picks points that return an error instead.
 func stubRunPoint(r *Runner, fail func(bm bench.Benchmark, arch regconn.Arch) bool) *stubCalls {
 	sc := &stubCalls{calls: map[string]int{}, desc: map[string]string{}}
-	r.runPoint = func(_ context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
+	r.Point = func(_ context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 		k := key(bm.Name, arch)
 		sc.mu.Lock()
 		sc.calls[k]++
@@ -195,7 +195,7 @@ func TestFirstErrorInRowOrder(t *testing.T) {
 // not a zero overhead.
 func TestOSRequiresTraps(t *testing.T) {
 	r := NewQuickRunner()
-	r.runPoint = func(context.Context, bench.Benchmark, regconn.Arch) (*Result, error) {
+	r.Point = func(context.Context, bench.Benchmark, regconn.Arch) (*Result, error) {
 		return &Result{Cycles: 100}, nil
 	}
 	if _, err := r.Generate("os"); err == nil || !strings.Contains(err.Error(), "no traps fired") {

@@ -5,9 +5,11 @@
 // still waiting for, and a computation nobody wants anymore is stopped
 // instead of burning a worker slot.
 //
-// It is shared by the rcserve daemon (internal/serve, values are marshaled
-// response bytes) and the in-process experiment runner (internal/exp,
-// values are simulation results).
+// It is shared by the rcserve daemon's point resolver (internal/serve,
+// values are marshaled response bytes) and the front-end memo
+// (exp.Frontends, values are compiled front ends). The experiment runner,
+// exp.Runner, does not use it: no caller asks one Runner for one point
+// twice at once, so its memo does not coalesce.
 package flight
 
 import (

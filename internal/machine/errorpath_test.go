@@ -119,6 +119,12 @@ func TestResetRejectsInadmissibleCode(t *testing.T) {
 		{"zero int core", ok, func(c *Config) { c.IntCore = 0 }},
 		{"total below core", ok, func(c *Config) { c.IntTotal = 4 }},
 		{"total above cap", ok, func(c *Config) { c.FPTotal = core.MaxRegs + 1 }},
+		// A negative handler ran the cycle loop backwards past its deadline;
+		// an issue rate of 1e9 allocated an 8 GB issue histogram.
+		{"issue rate above cap", ok, func(c *Config) { c.IssueRate = MaxIssueRate + 1 }},
+		{"negative handler cycles", ok, func(c *Config) { c.Trap = TrapConfig{Interval: 1, HandlerCycles: -5000} }},
+		{"negative handler registers", ok, func(c *Config) { c.Trap = TrapConfig{Interval: 1, HandlerRegs: -1} }},
+		{"handler cycles above cap", ok, func(c *Config) { c.Trap = TrapConfig{Interval: 1, HandlerCycles: MaxTrapHandler + 1} }},
 	} {
 		t.Run(strings.ReplaceAll(tc.name, " ", "-"), func(t *testing.T) {
 			c := cfg

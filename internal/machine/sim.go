@@ -79,11 +79,37 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize validates the issue geometry, the register files and the
-// memory size, and fills the defaults shared by Run and RunMultiprogrammed,
-// so the two entry points cannot drift.
+// Upper bounds of a Config, far above any configuration the paper or the
+// tools use (issue 8, a 30-cycle handler with 8 registers). A run sizes
+// its issue-slot histogram by the issue rate, and each trap adds its
+// handler's cycles to the clock, so a negative handler would run the
+// cycle loop backwards, past its deadline.
+const (
+	MaxIssueRate   = 64
+	MaxTrapHandler = 1 << 32 // Trap.HandlerCycles and Trap.HandlerRegs
+)
+
+// CheckBounds reports whether an issue rate and a trap handler are inside
+// those bounds; Config.normalize and regconn's Arch.Validate both call it.
+func CheckBounds(issue int, t TrapConfig) error {
+	if issue < 1 || issue > MaxIssueRate {
+		return fmt.Errorf("issue rate %d outside [1, %d]", issue, MaxIssueRate)
+	}
+	if t.HandlerCycles < 0 || t.HandlerCycles > MaxTrapHandler || t.HandlerRegs < 0 || t.HandlerRegs > MaxTrapHandler {
+		return fmt.Errorf("trap handler cycles %d, registers %d outside [0, %d]",
+			t.HandlerCycles, t.HandlerRegs, int64(MaxTrapHandler))
+	}
+	return nil
+}
+
+// normalize validates the issue geometry, the trap handler, the register
+// files and the memory size, and fills the defaults shared by Run and
+// RunMultiprogrammed, so the two entry points cannot drift.
 func (cfg *Config) normalize() error {
-	if cfg.IssueRate <= 0 || cfg.MemChannels <= 0 {
+	if err := CheckBounds(cfg.IssueRate, cfg.Trap); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	if cfg.MemChannels <= 0 {
 		return fmt.Errorf("machine: invalid config issue=%d channels=%d", cfg.IssueRate, cfg.MemChannels)
 	}
 	if cfg.IntCore < 1 || cfg.IntTotal < cfg.IntCore || cfg.IntTotal > core.MaxRegs ||

@@ -13,9 +13,10 @@ import (
 	"regconn/internal/workload"
 )
 
-// frontendCounts reads rcserve_frontends_total by result label from the
-// Prometheus exposition.
-func frontendCounts(t *testing.T, srv *httptest.Server) map[string]float64 {
+// promFamily reads one family from the Prometheus exposition and fails the
+// test unless it has the given type. A family not yet exposed comes back
+// empty.
+func promFamily(t *testing.T, srv *httptest.Server, family, typ string) obs.PromFamily {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + "/metrics?format=prometheus")
 	if err != nil {
@@ -26,17 +27,24 @@ func frontendCounts(t *testing.T, srv *httptest.Server) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]float64{}
 	for _, f := range fams {
-		if f.Name != "rcserve_frontends_total" {
+		if f.Name != family {
 			continue
 		}
-		if f.Type != "counter" {
-			t.Fatalf("rcserve_frontends_total is a %s, want a counter", f.Type)
+		if f.Type != typ {
+			t.Fatalf("%s is a %s, want a %s", family, f.Type, typ)
 		}
-		for _, s := range f.Samples {
-			out[s.Labels["result"]] = s.Value
-		}
+		return f
+	}
+	return obs.PromFamily{}
+}
+
+// frontendCounts reads rcserve_frontends_total by result label.
+func frontendCounts(t *testing.T, srv *httptest.Server) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, s := range promFamily(t, srv, "rcserve_frontends_total", "counter").Samples {
+		out[s.Labels["result"]] = s.Value
 	}
 	return out
 }

@@ -117,8 +117,8 @@ func newMetrics(cache *lru.Cache[[]byte], st *store.Store, peers []string) *metr
 
 // observe records one answered point: the source counter and the latency
 // histogram, labeled by endpoint and backend. Every route goes through
-// it (run, sweep-local, sweep-fallback), which is what makes the p50/p99
-// truthful for sweep-dominated traffic.
+// it (run, sweep-local, sweep-fallback, replay, figures), which is what
+// makes the p50/p99 truthful for sweep-dominated traffic.
 func (m *metrics) observe(endpoint string, arch regconn.Arch, src pointSource, d time.Duration) {
 	m.points.With(endpoint, src.label()).Inc()
 	m.latency.With(endpoint, backendLabel(arch)).Observe(d.Seconds())

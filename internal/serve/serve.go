@@ -98,7 +98,6 @@ type Server struct {
 	obs        *serveObs
 	sem        chan struct{}
 	frontends  *exp.Frontends // front ends shared by a program's points
-	runner     *exp.Runner    // memoized figure generation
 	mux        *http.ServeMux
 	draining   atomic.Bool
 }
@@ -121,7 +120,6 @@ func New(cfg Config) (*Server, error) {
 		// Two front ends per worker slot: a slot's current program and
 		// the next, so a sweep's back ends find theirs.
 		frontends: exp.NewFrontends(2 * cfg.Workers),
-		runner:    exp.NewRunner(),
 	}
 	if cfg.TraceDir != "" {
 		if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
@@ -159,7 +157,6 @@ func New(cfg Config) (*Server, error) {
 	s.met = newMetrics(s.cache, s.store, others)
 	s.frontends.Observe = func(result string) { s.met.frontends.With(result).Inc() }
 	s.obs = newServeObs(cfg)
-	s.runner.Workers = cfg.Workers
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("POST /v1/replay", s.handleReplay)
@@ -446,15 +443,20 @@ func (src pointSource) label() string {
 
 // resolve answers one keyed point: LRU, then the persistent store, then
 // singleflight, then a worker slot, then compute. It returns the response
-// bytes and their source. Every route into a point — /v1/run and each
-// /v1/sweep job through point, /v1/replay through replayPoint — comes
+// bytes and their source. Every route into a point — /v1/run, /v1/sweep
+// and /v1/figures through point, /v1/replay through replayPoint — comes
 // through here, so the deferred observe covers per-point latency and the
 // source counters uniformly under the endpoint and arch's backend labels,
 // and the span tree (when the request is traced) records each stage.
 // compute runs in the flight owner alone, under the flight's child span
 // named sim; the JSON encoding of the value it returns is what is cached.
+// A done context starts no flight, which could take a free slot and begin
+// a compile no cancellation stops.
 func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch regconn.Arch, sim string,
 	compute func(ctx context.Context) (any, error)) (body []byte, src pointSource, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, srcMiss, err
+	}
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "point")
 	span.Set("benchmark", name).Set("key", k).Set("backend", backendLabel(arch))
@@ -556,15 +558,16 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	return context.WithTimeout(r.Context(), d)
 }
 
-// statusFor maps a point failure to an HTTP status: client deadline or
-// disconnect, guest runtime fault, or server-side failure.
+// statusFor maps a point or figure failure to an HTTP status: client
+// deadline or disconnect, bad input, guest runtime fault, or ours.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, workload.ErrBadSpec), errors.Is(err, workload.ErrBadTrace):
+	case errors.Is(err, workload.ErrBadSpec), errors.Is(err, workload.ErrBadTrace),
+		errors.Is(err, exp.ErrUnknownExperiment):
 		return http.StatusBadRequest
 	default:
 		var re *machine.RuntimeError
@@ -851,20 +854,26 @@ type result struct {
 	remoteErr bool
 }
 
-// figuresStatus maps a Generate failure to an HTTP status: a bad figure
-// id is the client's fault, a failed generation ours.
-func figuresStatus(err error) int {
-	if errors.Is(err, exp.ErrUnknownExperiment) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
+// handleFigures regenerates a figure on a Runner whose points resolve
+// through point under the request's context, as /v1/run's do, each
+// decoded back from its response bytes.
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	tables, err := s.runner.Generate(id)
+	ctx, cancel := s.requestContext(r, 0)
+	defer cancel()
+	runner := exp.NewRunner()
+	runner.Workers = s.cfg.Workers
+	runner.Point = func(_ context.Context, bm bench.Benchmark, arch regconn.Arch) (*exp.Result, error) {
+		body, _, err := s.point(ctx, "figures", bm, arch)
+		if err != nil {
+			return nil, err
+		}
+		var rr RunResponse
+		err = json.Unmarshal(body, &rr)
+		return rr.Result, err
+	}
+	tables, err := runner.Generate(r.PathValue("id"))
 	if err != nil {
-		writeError(w, figuresStatus(err), errorBody{Error: err.Error()})
+		writeError(w, statusFor(err), errorBody{Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -370,18 +371,28 @@ func TestSweepAllPointsFailedCountsError(t *testing.T) {
 	}
 }
 
-// TestFiguresStatusBranches pins the sentinel-based classification: only
-// an unknown experiment id is the client's fault.
+// TestFiguresStatusBranches pins statusFor's sentinel-based
+// classification, which /v1/figures shares with the point endpoints: an
+// unknown experiment id is the client's fault, a deadline a 504, a
+// disconnect a 503, a guest fault a 422, anything else ours.
 func TestFiguresStatusBranches(t *testing.T) {
 	_, err := exp.NewRunner().Generate("bogus")
 	if !errors.Is(err, exp.ErrUnknownExperiment) {
 		t.Fatalf("Generate error %v does not wrap ErrUnknownExperiment", err)
 	}
-	if got := figuresStatus(err); got != http.StatusBadRequest {
-		t.Errorf("unknown-experiment status = %d, want 400", got)
-	}
-	if got := figuresStatus(errors.New("exp: this mentions unknown experiment but is not one")); got != http.StatusInternalServerError {
-		t.Errorf("generation-failure status = %d, want 500 (no substring matching)", got)
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{err, http.StatusBadRequest},
+		{errors.New("exp: this mentions unknown experiment but is not one"), http.StatusInternalServerError},
+		{fmt.Errorf("fig8: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{fmt.Errorf("fig8: %w", context.Canceled), http.StatusServiceUnavailable},
+		{fmt.Errorf("cmp: %w", &machine.RuntimeError{Err: errors.New("fault")}), http.StatusUnprocessableEntity},
+	} {
+		if got := statusFor(c.err); got != c.want {
+			t.Errorf("statusFor(%v) = %d, want %d", c.err, got, c.want)
+		}
 	}
 }
 
@@ -715,10 +726,16 @@ func TestRequestBounds(t *testing.T) {
 	// [abi.MinCore, TotalRegs] panicked in the flight goroutine and killed
 	// the daemon, and a negative channel count looped the list scheduler
 	// forever, holding the only worker slot: the run at the end of this
-	// test then timed out.
+	// test then timed out. So did a negative trap handler (the cycle loop
+	// ran backwards past its deadline) and a 1e12 load latency (a compile
+	// that never returns); a 1e9 issue rate allocated an 8 GB issue
+	// histogram.
 	invalid := []tc{
 		{"reproduction int core 300", "/v1/run", []byte(`{"benchmark":"cpp","arch":{"Issue":4,"IntCore":300}}`), http.StatusBadRequest},
 		{"reproduction negative channels", "/v1/run", []byte(`{"benchmark":"cpp","arch":{"Issue":4,"MemChannels":-1}}`), http.StatusBadRequest},
+		{"reproduction negative handler", "/v1/run", []byte(`{"benchmark":"grep","arch":{"Issue":4,"Trap":{"Interval":1,"HandlerCycles":-5000}}}`), http.StatusBadRequest},
+		{"reproduction load latency 1e12", "/v1/run", []byte(`{"benchmark":"cmp","arch":{"Issue":4,"LoadLatency":1000000000000}}`), http.StatusBadRequest},
+		{"reproduction issue 1e9", "/v1/run", []byte(`{"benchmark":"cmp","arch":{"Issue":1000000000}}`), http.StatusBadRequest},
 	}
 	for _, h := range []struct {
 		name string
@@ -733,6 +750,13 @@ func TestRequestBounds(t *testing.T) {
 		{"negative connect latency", func(a *regconn.Arch) { a.ConnectLatency = -1 }},
 		{"negative read ports", func(a *regconn.Arch) { a.ReadPorts = -1 }},
 		{"unregistered mode", func(a *regconn.Arch) { a.Mode = 99 }},
+		{"issue above cap", func(a *regconn.Arch) { a.Issue = machine.MaxIssueRate + 1 }},
+		{"load latency above cap", func(a *regconn.Arch) { a.LoadLatency = regconn.MaxLatency + 1 }},
+		{"connect latency above cap", func(a *regconn.Arch) { a.ConnectLatency = regconn.MaxLatency + 1 }},
+		{"negative handler cycles", func(a *regconn.Arch) { a.Trap = regconn.TrapConfig{Interval: 1, HandlerCycles: -1} }},
+		{"handler registers above cap", func(a *regconn.Arch) {
+			a.Trap = regconn.TrapConfig{Interval: 1, HandlerRegs: machine.MaxTrapHandler + 1}
+		}},
 	} {
 		a := fastArch()
 		h.edit(&a)

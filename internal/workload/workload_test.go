@@ -14,6 +14,7 @@ import (
 
 	"regconn"
 	"regconn/internal/isa"
+	"regconn/internal/machine"
 	"regconn/internal/workload"
 )
 
@@ -357,6 +358,21 @@ func TestTraceCorruption(t *testing.T) {
 		})},
 		{"negative memory size", reencode(func(c workload.Trace) workload.Trace {
 			c.Config.MemSize = -8
+			return c
+		})},
+		// A negative trap handler ran the replay's cycle loop backwards,
+		// past its deadline; an issue rate of 1e9 allocated an 8 GB
+		// issue histogram on the first replay.
+		{"negative handler cycles", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.Trap = machine.TrapConfig{Interval: 1, HandlerCycles: -5000}
+			return c
+		})},
+		{"handler registers above cap", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.Trap = machine.TrapConfig{Interval: 1000, HandlerRegs: machine.MaxTrapHandler + 1}
+			return c
+		})},
+		{"issue rate above cap", reencode(func(c workload.Trace) workload.Trace {
+			c.Config.IssueRate = 1000000000
 			return c
 		})},
 		// Class-mismatched operands inside their class's map used to pass

@@ -239,25 +239,31 @@ func (e *Executable) SaveRestoreGrowth() float64 {
 	return float64(e.SaveRestoreExts) / float64(e.PreAllocSize)
 }
 
+// MaxLatency bounds Arch.LoadLatency and Arch.ConnectLatency, far above the
+// paper's 4-cycle loads and 1-cycle connects: compile time grows with the
+// latency, and a compile cannot be canceled.
+const MaxLatency = 1024
+
 // Validate reports whether Build can compile the architecture and the
-// simulator can run it, before any work is done: an issue rate of at least
-// one; non-negative memory channels, load and connect latencies and read
-// ports (0 selects each one's default); core register counts that are 0
-// (the default) or in [abi.MinCore, TotalRegs]; a memory size in
+// simulator can run it, before any work is done: an issue rate and trap
+// handler inside machine.CheckBounds; non-negative memory channels and
+// read ports and load and connect latencies of at most MaxLatency (0
+// selects each one's default); core register counts that are 0 (the
+// default) or in [abi.MinCore, TotalRegs]; a memory size in
 // [0, mem.MaxSize]; and a registered backend. Build and NewFrontend call
-// it first, and rcserve answers a failure with a 400. Latencies have no
-// upper bound: a long one is slow, but its run stays cancelable.
+// it first, and rcserve answers a failure with a 400.
 func (a Arch) Validate() error {
+	if err := machine.CheckBounds(a.Issue, a.Trap); err != nil {
+		return fmt.Errorf("arch: %w", err)
+	}
 	core := func(n int) bool { return n == 0 || abi.MinCore <= n && n <= TotalRegs }
 	switch {
-	case a.Issue < 1:
-		return fmt.Errorf("arch: issue rate %d, want at least 1", a.Issue)
 	case a.MemChannels < 0:
 		return fmt.Errorf("arch: negative memory channels %d", a.MemChannels)
-	case a.LoadLatency < 0:
-		return fmt.Errorf("arch: negative load latency %d", a.LoadLatency)
-	case a.ConnectLatency < 0:
-		return fmt.Errorf("arch: negative connect latency %d", a.ConnectLatency)
+	case a.LoadLatency < 0 || a.LoadLatency > MaxLatency:
+		return fmt.Errorf("arch: load latency %d outside [0, %d]", a.LoadLatency, MaxLatency)
+	case a.ConnectLatency < 0 || a.ConnectLatency > MaxLatency:
+		return fmt.Errorf("arch: connect latency %d outside [0, %d]", a.ConnectLatency, MaxLatency)
 	case a.ReadPorts < 0:
 		return fmt.Errorf("arch: negative read ports %d", a.ReadPorts)
 	case !core(a.IntCore):

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"regconn/internal/machine"
 	"regconn/internal/mem"
 )
 
@@ -206,6 +207,10 @@ func TestValidate(t *testing.T) {
 		with(func(a *Arch) { a.MemSize = mem.MaxSize }),
 		with(func(a *Arch) { a.Backend = "chain" }),
 		with(func(a *Arch) { a.LoadLatency, a.ConnectLatency, a.ReadPorts = 1000, 1000, 1000 }),
+		with(func(a *Arch) { a.Issue, a.LoadLatency, a.ConnectLatency = machine.MaxIssueRate, MaxLatency, MaxLatency }),
+		with(func(a *Arch) {
+			a.Trap = TrapConfig{Interval: 1, HandlerCycles: machine.MaxTrapHandler, HandlerRegs: machine.MaxTrapHandler}
+		}),
 	} {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%+v: %v, want valid", a, err)
@@ -230,6 +235,15 @@ func TestValidate(t *testing.T) {
 		{"memory size above cap", with(func(a *Arch) { a.MemSize = mem.MaxSize + 1 })},
 		{"unregistered backend", with(func(a *Arch) { a.Backend = "nosuch" })},
 		{"unregistered mode", with(func(a *Arch) { a.Mode = 99 })},
+		// A 1e9 issue rate built, then allocated an 8 GB issue histogram
+		// on its first run; a 1e12 latency made a Build that never
+		// returned; a negative handler ran the cycle loop backwards.
+		{"issue above cap", with(func(a *Arch) { a.Issue = 1000000000 })},
+		{"load latency above cap", with(func(a *Arch) { a.LoadLatency = MaxLatency + 1 })},
+		{"connect latency above cap", with(func(a *Arch) { a.ConnectLatency = MaxLatency + 1 })},
+		{"negative handler cycles", with(func(a *Arch) { a.Trap = TrapConfig{Interval: 1, HandlerCycles: -5000} })},
+		{"negative handler registers", with(func(a *Arch) { a.Trap = TrapConfig{Interval: 1, HandlerRegs: -1} })},
+		{"handler registers above cap", with(func(a *Arch) { a.Trap.HandlerRegs = machine.MaxTrapHandler + 1 })},
 	} {
 		t.Run(strings.ReplaceAll(c.name, " ", "-"), func(t *testing.T) {
 			if err := c.arch.Validate(); err == nil {

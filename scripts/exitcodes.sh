@@ -72,6 +72,11 @@ expect 1 "$BIN/rcrun" -bench nosuchbench
 # scheduler; both are config errors before any compile.
 expect 1 "$BIN/rcrun" -bench cpp -intcore 4
 expect 1 "$BIN/rcrun" -bench cpp -channels -1
+# Upper bounds: a 1e12 load latency made a compile that never returned,
+# and a 1e9 issue rate allocated an 8 GB issue histogram on the first run
+# (as it did through rcasm's machine.Config).
+expect 1 "$BIN/rcrun" -bench cmp -load 1000000000000
+expect 1 "$BIN/rcrun" -bench cmp -issue 1000000000
 expect 0 "$BIN/rcrun" -bench grep
 expect 0 "$BIN/rcrun" -bench grep -mode portreduce
 expect 0 "$BIN/rcrun" -bench grep -mode chain
@@ -97,6 +102,11 @@ expect 0 "$BIN/rcgen" replay "$BIN/t.rctrace"
 expect 0 "$BIN/rcprof" -bench gen/mixed/0
 expect 0 "$BIN/rcdis" -bench gen/mixed/0
 expect 0 "$BIN/rclint" -bench gen/mixed/0 -quick
+
+# The shared arch flags (cli.ArchFlags) reject a bad -model in every tool.
+expect 1 "$BIN/rcprof" -bench cmp -model 9
+expect 1 "$BIN/rcdis" -bench cmp -model 9
+expect 1 "$BIN/rcgen" emit -profile mixed -seed 0 -o "$BIN/m9.rctrace" -model 9
 
 # rcgen: usage errors exit non-zero; list/emit/info/replay/smoke succeed
 # on valid inputs, and corrupt traces are rejected.
@@ -127,6 +137,7 @@ expect 0 "$BIN/rcasm" -dis examples/asm/sumext.s
 expect 1 "$BIN/rcasm" -intcore 0 examples/asm/sumext.s
 expect 1 "$BIN/rcasm" -intcore 8 -total 4 examples/asm/sumext.s
 expect 1 "$BIN/rcasm" -total 100000 examples/asm/sumext.s
+expect 1 "$BIN/rcasm" -issue 1000000000 examples/asm/sumext.s
 printf '.func main\n    movi r20, #5\n    halt\n' > "$BIN/r20.s"
 expect 1 "$BIN/rcasm" -intcore 8 "$BIN/r20.s"
 printf '.func main\n    fadd f1, f2, #3\n    halt\n' > "$BIN/fimm.s"
