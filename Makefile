@@ -12,9 +12,10 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate (see ROADMAP.md): build, vet (the repository
-# and the perfbench module, which reaches the program only through its
-# exported APIs and is otherwise compiled only by a benchmark run),
+# verify is the tier-1 gate (see ROADMAP.md): build, vet (the repository,
+# the repository again for windows so a unix-only call anywhere fails the
+# gate, and the perfbench module, which reaches the program only through
+# its exported APIs and is otherwise compiled only by a benchmark run),
 # formatting, full tests (shuffled, to keep inter-test ordering
 # dependencies out), the data-race checks on the parallel experiment
 # runner and its front-end memo, on the rcserve daemon (request
@@ -34,6 +35,7 @@ test:
 # trace format with a verified replay).
 verify: build
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi

@@ -122,11 +122,11 @@ type MapTable struct {
 	autoByIdx []int64
 
 	// gen counts observable mapping changes: it advances only when a map
-	// entry actually changes value or the enable flag flips, so cached
-	// physical resolutions stamped with gen stay valid across the automatic
-	// resets that leave an at-home table at home (the common case for
-	// programs that never connect). off tracks how many map slots are away
-	// from their home location, making Reset free when nothing is diverted.
+	// entry actually changes value, a diverted table resets, a context is
+	// restored, or the enable flag flips. It feeds Stats.GenAdvances, and
+	// NoteWrite counts an automatic reset only when it moved gen. off
+	// tracks how many map slots are away from their home location, making
+	// Reset free when nothing is diverted.
 	gen uint64
 	off int
 }
@@ -185,13 +185,6 @@ func growSlice[E uint16 | int64](s []E, n int) []E {
 	}
 	return s[:n]
 }
-
-// Gen returns the table's generation counter. It changes exactly when a
-// resolution through the table could change: a map entry taking a new
-// value, a reset of a diverted table, a context restore, or an enable-flag
-// flip. Callers may cache ReadPhys/WritePhys results stamped with Gen and
-// revalidate with a single comparison.
-func (t *MapTable) Gen() uint64 { return t.gen }
 
 // Stats returns the table's accumulated mutation telemetry. The per-index
 // breakdowns are copied snapshots and are nil when their total is zero.

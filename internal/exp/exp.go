@@ -60,9 +60,8 @@ type Runner struct {
 	// Progress, when set, is called once per distinct point of an
 	// experiment, after the evaluator's first pass has simulated it, with
 	// the number of finished points and the experiment's total. It is the
-	// hook rcexp -progress builds on. Setting it runs the first pass even
-	// with one worker. Called from worker goroutines — must be safe for
-	// concurrent use.
+	// hook rcexp -progress builds on. Called from worker goroutines — must
+	// be safe for concurrent use.
 	Progress func(done, total int)
 
 	// Point computes one uncached point (nil = RunPoint). rcserve's
@@ -324,13 +323,8 @@ func (r *Runner) value(bm bench.Benchmark, c cell) (float64, error) {
 
 // prefetch simulates the distinct points of pts, in order, across the
 // worker pool, so the reads that follow hit the memo; errors stay memoized
-// for those reads to report. Progress ticks once per distinct point. With
-// one worker and no Progress hook the pass is skipped: the reads then
-// simulate each point as they reach it.
+// for those reads to report. Progress ticks once per distinct point.
 func (r *Runner) prefetch(pts []point) {
-	if r.workers() <= 1 && r.Progress == nil {
-		return
-	}
 	seen := make(map[string]bool, len(pts))
 	var uniq []point
 	for _, p := range pts {

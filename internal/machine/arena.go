@@ -1,13 +1,13 @@
 package machine
 
 // Run arenas: a Machine owns every per-run allocation of the simulator —
-// register files, ready stamps, mapping tables, resolution caches, the
-// predecoded micro-op stream, the memory image, and the Result itself —
-// and Reset reinitializes them in place instead of reallocating. A sweep
-// that runs many points through one Machine pays the allocation and
-// zeroing cost once, and a steady-state Reset+Run performs zero heap
-// allocations (pinned by TestMachineSteadyStateZeroAllocs); see DESIGN.md
-// §13 for the arena/batch contract.
+// register files, ready stamps, mapping tables, the predecoded micro-op
+// stream, the memory image, and the Result itself — and Reset
+// reinitializes them in place instead of reallocating. A sweep that runs
+// many points through one Machine pays the allocation cost once, and a
+// steady-state Reset+Run performs zero heap allocations (pinned by
+// TestMachineSteadyStateZeroAllocs); see DESIGN.md §13 for the
+// arena/batch contract.
 //
 // Aliasing: results returned by a Machine's run methods point into the
 // arena — the Result struct, its IssueHist and map-telemetry slices, and
@@ -118,11 +118,10 @@ func recoverInitFault(err *error) {
 }
 
 // Reset reinitializes the arena in place for one run of img under cfg:
-// the register files, ready stamps, mapping tables, resolution caches,
-// memory image, and result are restored to power-on state reusing the
-// arena's allocations, and the micro-op stream is re-predecoded only when
-// (img, cfg.Chain, cfg.Lat) changed since the previous Reset. The
-// subsequent RunContext is bit-identical to a run on a fresh Machine.
+// the register files, ready stamps, mapping tables, memory image, and
+// result are restored to power-on state and the micro-op stream is
+// predecoded, all reusing the arena's allocations. The subsequent
+// RunContext is bit-identical to a run on a fresh Machine.
 // Reset first admits the code as Check does; a rejected image leaves the
 // arena unarmed.
 func (m *Machine) Reset(img *Image, cfg Config) (err error) {

@@ -77,7 +77,7 @@ func TestMachineResetAcrossImagesAndConfigs(t *testing.T) {
 	)
 	c2 := smallCfg()
 	c4 := smallCfg()
-	c4.Lat = isa.DefaultLatencies(4) // invalidates the predecode cache
+	c4.Lat = isa.DefaultLatencies(4) // changes every micro-op's latency
 	cPorts := smallCfg()
 	cPorts.ReadPorts = 2
 	cWide := DefaultConfig() // back to the 64/64 geometry
@@ -221,8 +221,9 @@ func TestMachineMultiprogrammedReuse(t *testing.T) {
 }
 
 // BenchmarkArenaResetRun times the Reset+Run cycle on a warm arena — the
-// per-point cost a batched sweep pays after predecode and slice growth
-// have been amortized. Run with -benchmem: the contract is 0 allocs/op.
+// per-point cost a batched sweep pays once slice growth has been
+// amortized (Reset still predecodes). Run with -benchmem: the contract is
+// 0 allocs/op.
 func BenchmarkArenaResetRun(b *testing.B) {
 	img := asm(connProg()...)
 	c := smallCfg()

@@ -9,10 +9,9 @@ import (
 
 // Execute stage: functional execution plus timing update, dispatched
 // through a function table indexed by opcode instead of a monolithic
-// switch. Operand reads go through the issue stage's cached resolutions
-// (issue.go), so each operand is resolved through the mapping table once
-// per cycle; writes commit through MapTable.NoteWrite, which applies the
-// automatic-reset side effect of the configured model (§2.3).
+// switch. Operand reads resolve through the mapping tables
+// (MapTable.ReadPhys); writes commit through MapTable.NoteWrite, which
+// applies the automatic-reset side effect of the configured model (§2.3).
 
 type execFn func(s *simState, u *uop, cycle int64) (next int, mispredict bool, err error)
 
@@ -32,7 +31,7 @@ func (s *simState) execute(u *uop, cycle int64) (int, bool, error) {
 // srcI reads the integer register behind map index n; a read resolving to
 // the zero register yields 0.
 func (s *simState) srcI(n int) int64 {
-	p := s.physReadI(n)
+	p := s.tabI.ReadPhys(n)
 	if p == isa.RegZero {
 		return 0
 	}
@@ -40,7 +39,7 @@ func (s *simState) srcI(n int) int64 {
 }
 
 // srcF reads the floating-point register behind map index n.
-func (s *simState) srcF(n int) float64 { return s.rf[s.physReadF(n)] }
+func (s *simState) srcF(n int) float64 { return s.rf[s.tabF.ReadPhys(n)] }
 
 // src2 is the second integer source: immediate or the B register.
 func (s *simState) src2(u *uop) int64 {

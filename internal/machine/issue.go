@@ -3,61 +3,9 @@ package machine
 import "regconn/internal/isa"
 
 // Issue stage: the in-order interlocks of the simulated pipeline. Each
-// register operand is resolved through the mapping table at most once per
-// cycle — resolutions are cached per map index and stamped with the
-// table's generation counter (core.MapTable.Gen), which advances only when
-// a connect, automatic reset, context restore, or enable flip actually
-// changes a mapping. Execute (exec.go) reads the same cache, so an
-// instruction that issues resolves each operand exactly once.
-
-// physReadI returns the physical register behind a source access of
-// integer map index n.
-func (s *simState) physReadI(n int) int {
-	if g := s.tabI.Gen(); s.rStampI[n] != g {
-		s.rPhysI[n] = int32(s.tabI.ReadPhys(n))
-		s.rStampI[n] = g
-		s.res.ResolveMisses++
-	} else {
-		s.res.ResolveHits++
-	}
-	return int(s.rPhysI[n])
-}
-
-// physWriteI returns the physical register a write through integer map
-// index n will go to (without committing the write; see simState.setI).
-func (s *simState) physWriteI(n int) int {
-	if g := s.tabI.Gen(); s.wStampI[n] != g {
-		s.wPhysI[n] = int32(s.tabI.WritePhys(n))
-		s.wStampI[n] = g
-		s.res.ResolveMisses++
-	} else {
-		s.res.ResolveHits++
-	}
-	return int(s.wPhysI[n])
-}
-
-// physReadF and physWriteF are the floating-point file equivalents.
-func (s *simState) physReadF(n int) int {
-	if g := s.tabF.Gen(); s.rStampF[n] != g {
-		s.rPhysF[n] = int32(s.tabF.ReadPhys(n))
-		s.rStampF[n] = g
-		s.res.ResolveMisses++
-	} else {
-		s.res.ResolveHits++
-	}
-	return int(s.rPhysF[n])
-}
-
-func (s *simState) physWriteF(n int) int {
-	if g := s.tabF.Gen(); s.wStampF[n] != g {
-		s.wPhysF[n] = int32(s.tabF.WritePhys(n))
-		s.wStampF[n] = g
-		s.res.ResolveMisses++
-	} else {
-		s.res.ResolveHits++
-	}
-	return int(s.wPhysF[n])
-}
+// register operand is resolved through its class's mapping table
+// (core.MapTable.ReadPhys for sources, WritePhys for the destination);
+// execute (exec.go) resolves the same operands through the same tables.
 
 // lastConnect returns the cycle of the last connect touching the register's
 // map entry (-1 if never).
@@ -94,19 +42,19 @@ func (s *simState) canIssue(u *uop, cycle int64, memUsed int) (bool, stallReason
 			continue
 		}
 		if r.Class == isa.ClassFloat {
-			if s.rdyF[s.physReadF(r.N)] > cycle {
+			if s.rdyF[s.tabF.ReadPhys(r.N)] > cycle {
 				return false, stallData
 			}
-		} else if p := s.physReadI(r.N); p != isa.RegZero && s.rdyI[p] > cycle {
+		} else if p := s.tabI.ReadPhys(r.N); p != isa.RegZero && s.rdyI[p] > cycle {
 			return false, stallData
 		}
 	}
 	if d := u.Dst; d.Valid() && !u.chainDst {
 		if d.Class == isa.ClassFloat {
-			if s.rdyF[s.physWriteF(d.N)] > cycle {
+			if s.rdyF[s.tabF.WritePhys(d.N)] > cycle {
 				return false, stallData
 			}
-		} else if p := s.physWriteI(d.N); p != isa.RegZero && s.rdyI[p] > cycle {
+		} else if p := s.tabI.WritePhys(d.N); p != isa.RegZero && s.rdyI[p] > cycle {
 			return false, stallData
 		}
 	}
@@ -120,7 +68,7 @@ func (s *simState) canIssue(u *uop, cycle int64, memUsed int) (bool, stallReason
 	uses:
 		for _, r := range u.Uses() {
 			if r.Class == isa.ClassFloat {
-				p := s.physReadF(r.N)
+				p := s.tabF.ReadPhys(r.N)
 				if s.portStampF[p] == cycle {
 					continue
 				}
@@ -132,7 +80,7 @@ func (s *simState) canIssue(u *uop, cycle int64, memUsed int) (bool, stallReason
 				newF[needF] = p
 				needF++
 			} else {
-				p := s.physReadI(r.N)
+				p := s.tabI.ReadPhys(r.N)
 				if p == isa.RegZero || s.portStampI[p] == cycle {
 					continue
 				}

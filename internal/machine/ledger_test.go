@@ -67,19 +67,6 @@ func TestIssueHistogram(t *testing.T) {
 	}
 }
 
-// TestResolutionCacheTelemetry: a tight loop over home registers should
-// resolve operands mostly from the per-map-entry cache.
-func TestResolutionCacheTelemetry(t *testing.T) {
-	res := run(t, coreProg(500), DefaultConfig())
-	if res.ResolveMisses == 0 {
-		t.Error("expected cold resolution misses")
-	}
-	if res.ResolveHits <= res.ResolveMisses {
-		t.Errorf("loop should hit the resolution cache: hits=%d misses=%d",
-			res.ResolveHits, res.ResolveMisses)
-	}
-}
-
 // TestMapTelemetryCaptured: connects and model-3 automatic resets must
 // show up in the map-table snapshot of the result.
 func TestMapTelemetryCaptured(t *testing.T) {

@@ -259,11 +259,6 @@ type Result struct {
 	// (length Config.IssueRate+1): per-cycle issue-slot utilization.
 	IssueHist []int64
 
-	// Resolution-cache telemetry (issue.go): operand resolutions served
-	// from the per-map-entry cache vs recomputed through the mapping table.
-	ResolveHits   int64
-	ResolveMisses int64
-
 	// Interrupt accounting (Config.Trap).
 	Traps         int64
 	TrapOverheads int64 // cycles spent in handlers / context switches
@@ -372,9 +367,8 @@ func RunContext(ctx context.Context, img *Image, cfg Config) (*Result, error) {
 }
 
 // simState is the execution pipeline state of one simulated process: the
-// predecoded micro-op stream, the (possibly shared) physical register file
-// and mapping tables, and the per-map-entry resolution caches stamped with
-// the tables' generation counters.
+// predecoded micro-op stream and the (possibly shared) physical register
+// file and mapping tables.
 type simState struct {
 	img  *Image
 	cfg  Config
@@ -390,13 +384,6 @@ type simState struct {
 	tabF *core.MapTable
 	lcI  []int64 // cycle of the last connect touching this int map entry
 	lcF  []int64
-
-	// Cached physical resolutions per map index, valid while the stamp
-	// equals the owning table's generation (see issue.go).
-	rPhysI, wPhysI   []int32
-	rStampI, wStampI []uint64
-	rPhysF, wPhysF   []int32
-	rStampF, wStampF []uint64
 
 	// Read-port tracking (Config.ReadPorts): the cycle each physical
 	// register was last read in, and the distinct registers read so far
@@ -417,13 +404,6 @@ type simState struct {
 	res   *Result
 	probe Probe // Config.Probe
 	proc  uint8 // process index (multiprogramming; 0 otherwise)
-
-	// Predecode cache: code is rebuilt by reset only when the image or the
-	// predecode-relevant configuration (chain mode, latency table) changed
-	// since the previous run on this state.
-	predImg   *Image
-	predChain bool
-	predLat   isa.Latencies
 
 	// Arena scratch reused across runs: the map-table telemetry snapshots
 	// the Result exports (statI/statF) and the trap path's save/restore
@@ -448,36 +428,21 @@ func (s *simState) bindContext(ctx context.Context) {
 
 // reset wires the state for a fresh run over the given (possibly shared)
 // register file and mapping tables, reusing every allocation from the
-// previous run on this state. Predecode is skipped when the image and the
-// predecode-relevant configuration are unchanged; memory reinitialization
-// rezeros only the pages the previous run dirtied (mem.InitImageInto). The
-// resulting state is observationally identical to a freshly constructed
-// one. An attached probe is prepared for the run: a PCProf is sized to the
-// image and exported as Result.Prof, an EventRing learns the issue width.
+// previous run on this state: predecode rewrites the micro-op slice in
+// place, and memory reinitialization rezeros only the pages the previous
+// run dirtied (mem.InitImageInto). The resulting state is observationally
+// identical to a freshly constructed one. An attached probe is prepared
+// for the run: a PCProf is sized to the image and exported as
+// Result.Prof, an EventRing learns the issue width.
 func (s *simState) reset(img *Image, cfg Config, ri []int64, rf []float64,
 	rdyI, rdyF []int64, tabI, tabF *core.MapTable, proc uint8) {
 	s.img, s.cfg = img, cfg
 	s.mem = mem.InitImageInto(s.mem, img.Prog.IR, img.Layout, cfg.MemSize)
-	if s.predImg != img || s.predChain != cfg.Chain || s.predLat != cfg.Lat {
-		s.code = predecodeInto(s.code, img.Code, img.Ann, cfg.Chain, cfg.Lat)
-		s.predImg, s.predChain, s.predLat = img, cfg.Chain, cfg.Lat
-	}
+	s.code = predecodeInto(s.code, img.Code, img.Ann, cfg.Chain, cfg.Lat)
 	s.ri, s.rf, s.rdyI, s.rdyF = ri, rf, rdyI, rdyF
 	s.tabI, s.tabF = tabI, tabF
 	s.lcI = filled(s.lcI, cfg.IntCore, -1)
 	s.lcF = filled(s.lcF, cfg.FPCore, -1)
-	// Cached resolutions: the values may stay stale (a stamp mismatch
-	// forces recomputation) but the stamps must be zeroed — a reinitialized
-	// table restarts its generation counter, so a stale stamp could
-	// otherwise collide with a live generation.
-	s.rPhysI = grown(s.rPhysI, cfg.IntCore)
-	s.wPhysI = grown(s.wPhysI, cfg.IntCore)
-	s.rPhysF = grown(s.rPhysF, cfg.FPCore)
-	s.wPhysF = grown(s.wPhysF, cfg.FPCore)
-	s.rStampI = zeroed(s.rStampI, cfg.IntCore)
-	s.wStampI = zeroed(s.wStampI, cfg.IntCore)
-	s.rStampF = zeroed(s.rStampF, cfg.FPCore)
-	s.wStampF = zeroed(s.wStampF, cfg.FPCore)
 	if cfg.ReadPorts > 0 {
 		s.portStampI = filled(s.portStampI, cfg.IntTotal, -1)
 		s.portStampF = filled(s.portStampF, cfg.FPTotal, -1)

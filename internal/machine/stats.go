@@ -27,21 +27,19 @@ type Ledger struct {
 
 // Stats is the machine-readable summary of one simulation.
 type Stats struct {
-	Cycles        int64            `json:"cycles"`
-	ActiveCycles  int64            `json:"active_cycles"`
-	Instrs        int64            `json:"instrs"`
-	IPC           float64          `json:"ipc"`
-	Connects      int64            `json:"connects"`
-	MemOps        int64            `json:"mem_ops"`
-	Mispredicts   int64            `json:"mispredicts"`
-	Traps         int64            `json:"traps"`
-	Ledger        Ledger           `json:"ledger"`
-	IssueHist     []int64          `json:"issue_hist"`
-	ResolveHits   int64            `json:"resolve_hits"`
-	ResolveMisses int64            `json:"resolve_misses"`
-	MapInt        core.Stats       `json:"map_int"`
-	MapFP         core.Stats       `json:"map_fp"`
-	OpMix         map[string]int64 `json:"op_mix"`
+	Cycles       int64            `json:"cycles"`
+	ActiveCycles int64            `json:"active_cycles"`
+	Instrs       int64            `json:"instrs"`
+	IPC          float64          `json:"ipc"`
+	Connects     int64            `json:"connects"`
+	MemOps       int64            `json:"mem_ops"`
+	Mispredicts  int64            `json:"mispredicts"`
+	Traps        int64            `json:"traps"`
+	Ledger       Ledger           `json:"ledger"`
+	IssueHist    []int64          `json:"issue_hist"`
+	MapInt       core.Stats       `json:"map_int"`
+	MapFP        core.Stats       `json:"map_fp"`
+	OpMix        map[string]int64 `json:"op_mix"`
 
 	// Chain-forwarding telemetry (the chain backend; zero elsewhere).
 	ChainPairs       int64 `json:"chain_pairs,omitempty"`
@@ -77,18 +75,16 @@ func (r *Result) Stats() Stats {
 		}
 	}
 	return Stats{
-		Cycles:        r.Cycles,
-		ActiveCycles:  r.ActiveCycles,
-		Instrs:        r.Instrs,
-		IPC:           r.IPC(),
-		Connects:      r.Connects,
-		MemOps:        r.MemOps,
-		Mispredicts:   r.Mispredicts,
-		Traps:         r.Traps,
-		Ledger:        led,
-		IssueHist:     append([]int64(nil), r.IssueHist...),
-		ResolveHits:   r.ResolveHits,
-		ResolveMisses: r.ResolveMisses,
+		Cycles:       r.Cycles,
+		ActiveCycles: r.ActiveCycles,
+		Instrs:       r.Instrs,
+		IPC:          r.IPC(),
+		Connects:     r.Connects,
+		MemOps:       r.MemOps,
+		Mispredicts:  r.Mispredicts,
+		Traps:        r.Traps,
+		Ledger:       led,
+		IssueHist:    append([]int64(nil), r.IssueHist...),
 		// Deep-copied: on an arena-owned Result the breakdown slices alias
 		// scratch the next Reset overwrites, and Stats must outlive it.
 		MapInt:            r.MapInt.Clone(),

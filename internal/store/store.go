@@ -12,9 +12,8 @@
 //
 // with the checksum covering everything before it. Appends go to the
 // highest-numbered (active) segment and are fsynced before Put returns;
-// when the active segment reaches the size bound it is sealed and a new
-// one starts. Sealed segments are mmap'd and served zero-copy; the active
-// segment is served with pread until it seals.
+// when the active segment reaches the size bound a new one starts. Every
+// segment is read with pread.
 //
 // Recovery: Open scans every segment in order and rebuilds the in-memory
 // index (key → segment/offset/length). A record whose header runs past
@@ -28,9 +27,8 @@
 // Writes are first-write-wins: a Put for a key that is already indexed is
 // a no-op. Values for one key are deterministic re-marshalings of the
 // same simulation, so the first complete record is as good as any later
-// one, and never rewriting an entry is what lets readers hold returned
-// slices without locks. Get results alias the mmap (or a private pread
-// buffer) and must not be mutated; they remain valid until Close.
+// one. Get returns a private copy of the value: the caller owns it, and
+// it stays valid after Close.
 package store
 
 import (
@@ -51,8 +49,7 @@ const (
 	crcLen    = 4
 
 	// DefaultMaxSegmentBytes bounds one segment file (64 MiB). Sweeps
-	// rotate through a handful of segments rather than one giant file, so
-	// recovery scans and mmaps stay modestly sized.
+	// rotate through a handful of segments rather than one giant file.
 	DefaultMaxSegmentBytes = 64 << 20
 
 	// maxRecordLen sanity-bounds a single key or value length read from
@@ -63,9 +60,10 @@ const (
 
 // Options tunes a Store; the zero value is ready to use.
 type Options struct {
-	// MaxSegmentBytes seals the active segment once it reaches this many
-	// bytes (0 = DefaultMaxSegmentBytes). Records larger than the bound
-	// still land whole: a segment always contains complete records.
+	// MaxSegmentBytes starts a new segment once the active one would pass
+	// this many bytes (0 = DefaultMaxSegmentBytes). Records larger than
+	// the bound still land whole: a segment always contains complete
+	// records.
 	MaxSegmentBytes int64
 }
 
@@ -86,13 +84,10 @@ type recordRef struct {
 	vlen int32
 }
 
-// segment is one on-disk file. Sealed segments carry an mmap; the active
-// segment (the last one) is read with pread until it seals.
+// segment is one on-disk file; Put appends only to the last (active) one.
 type segment struct {
-	path string
 	f    *os.File
 	size int64
-	mm   []byte // nil until sealed (or when mmap is unavailable)
 }
 
 // Store is safe for concurrent use by multiple goroutines.
@@ -153,8 +148,8 @@ func segmentNames(dir string) ([]string, error) {
 }
 
 // openSegment scans one segment into the index. The active (last)
-// segment is opened read-write and truncated past any torn tail; sealed
-// segments are opened read-only and mmap'd.
+// segment is opened read-write and truncated past any torn tail; earlier
+// segments are opened read-only.
 func (s *Store) openSegment(path string, segIdx int, active bool) (*segment, error) {
 	flags := os.O_RDONLY
 	if active {
@@ -164,7 +159,7 @@ func (s *Store) openSegment(path string, segIdx int, active bool) (*segment, err
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	seg := &segment{path: path, f: f}
+	seg := &segment{f: f}
 	good, err := s.scan(f, segIdx)
 	if err != nil {
 		f.Close()
@@ -179,7 +174,7 @@ func (s *Store) openSegment(path string, segIdx int, active bool) (*segment, err
 		s.tornBytes += torn
 		if active {
 			// Drop the torn tail so the next append starts on a record
-			// boundary. Sealed segments are left as-is (read-only); the
+			// boundary. Earlier segments are left as-is (read-only); the
 			// scan already ignores everything past the tear.
 			if err := f.Truncate(good); err != nil {
 				f.Close()
@@ -192,9 +187,6 @@ func (s *Store) openSegment(path string, segIdx int, active bool) (*segment, err
 		}
 	}
 	seg.size = good
-	if !active {
-		seg.seal()
-	}
 	return seg, nil
 }
 
@@ -237,19 +229,7 @@ func (s *Store) scan(f *os.File, segIdx int) (good int64, err error) {
 	}
 }
 
-// seal mmaps a segment that will no longer be written. When the platform
-// has no mmap (or the file is empty) reads keep using pread.
-func (seg *segment) seal() {
-	if seg.mm != nil || seg.size == 0 {
-		return
-	}
-	if mm, err := mmapFile(seg.f, seg.size); err == nil {
-		seg.mm = mm
-	}
-}
-
-// Get returns the value stored for key. The returned bytes are read-only
-// and valid until Close.
+// Get returns a private copy of the value stored for key.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -260,25 +240,12 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	seg := s.segs[ref.seg]
-	if seg.mm != nil {
-		s.hits.Add(1)
-		return seg.mm[ref.off : ref.off+int64(ref.vlen) : ref.off+int64(ref.vlen)], true
-	}
 	buf := make([]byte, ref.vlen)
-	if _, err := seg.f.ReadAt(buf, ref.off); err != nil {
+	if _, err := s.segs[ref.seg].f.ReadAt(buf, ref.off); err != nil {
 		return nil, false
 	}
 	s.hits.Add(1)
 	return buf, true
-}
-
-// Has reports whether key is indexed without counting a hit.
-func (s *Store) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.idx[key]
-	return ok
 }
 
 // Put durably appends (key, val): the record is written and fsynced
@@ -319,14 +286,13 @@ func (s *Store) Put(key string, val []byte) error {
 }
 
 // activeSegment returns the segment the next record of recLen bytes
-// should append to, sealing and rotating as needed.
+// should append to, rotating as needed.
 func (s *Store) activeSegment(recLen int64) (*segment, error) {
 	if n := len(s.segs); n > 0 {
 		seg := s.segs[n-1]
 		if seg.size == 0 || seg.size+recLen <= s.opts.MaxSegmentBytes {
 			return seg, nil
 		}
-		seg.seal()
 	}
 	path := filepath.Join(s.dir, fmt.Sprintf("%08d%s", len(s.segs)+1, segSuffix))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
@@ -339,7 +305,7 @@ func (s *Store) activeSegment(recLen int64) (*segment, error) {
 		d.Sync()
 		d.Close()
 	}
-	seg := &segment{path: path, f: f}
+	seg := &segment{f: f}
 	s.segs = append(s.segs, seg)
 	return seg, nil
 }
@@ -362,16 +328,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Len reports the number of indexed records.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.idx)
-}
-
-// Close unmaps and closes every segment. Slices returned by Get are
-// invalid afterwards. A crashed process that never calls Close loses
-// nothing: every Put was fsynced when it returned.
+// Close closes every segment. Slices returned by Get stay valid. A
+// crashed process that never calls Close loses nothing: every Put was
+// fsynced when it returned.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,12 +340,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	var first error
 	for _, seg := range s.segs {
-		if seg.mm != nil {
-			if err := munmap(seg.mm); err != nil && first == nil {
-				first = err
-			}
-			seg.mm = nil
-		}
 		if err := seg.f.Close(); err != nil && first == nil {
 			first = err
 		}

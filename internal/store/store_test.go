@@ -148,6 +148,31 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 	}
 }
 
+// TestGetOutlivesClose pins Get's contract: the returned bytes belong to
+// the caller, so rcserve may keep them in its LRU past the store's Close.
+// The first record is read from a segment no longer written to.
+func TestGetOutlivesClose(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 64})
+	for i := 0; i < 3; i++ {
+		if err := s.Put(fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("value-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Segments < 2 {
+		t.Fatalf("segments = %d, want the first record in a rotated-out segment", st.Segments)
+	}
+	got, ok := s.Get("key-00")
+	if !ok {
+		t.Fatal("key-00 missing")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "value-00" {
+		t.Fatalf("value after Close = %q, want %q", got, "value-00")
+	}
+}
+
 // TestTornTailTruncatedAtEveryOffset is the crash-recovery sweep: a store
 // with K records is cut off at every possible byte offset of its segment
 // file, reopened, and must serve exactly the records whose final byte
@@ -277,8 +302,8 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Len() != 32 {
-		t.Errorf("len = %d, want 32", s.Len())
+	if n := s.Stats().Entries; n != 32 {
+		t.Errorf("entries = %d, want 32", n)
 	}
 }
 

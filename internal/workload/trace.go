@@ -34,9 +34,14 @@ const (
 	// surface, and a version bump means "re-emit".
 	TraceVersion = 1
 
-	// MaxTracePayload caps the declared payload length so a corrupt or
-	// hostile header cannot drive a giant allocation.
+	// MaxTracePayload caps the declared payload length.
 	MaxTracePayload = 1 << 28
+
+	// payloadChunk is the most DecodeTrace allocates ahead of the bytes
+	// that fill it. A payload up to this size is read into one exact-size
+	// buffer; a longer one grows as its bytes arrive, so a header that
+	// claims more than its body holds cannot drive a giant allocation.
+	payloadChunk = 1 << 20
 )
 
 // ErrBadTrace marks a trace that failed structural validation: bad header,
@@ -129,10 +134,13 @@ func (t *Trace) Encode(w io.Writer) (key string, err error) {
 // returns the trace and its key.
 func DecodeTrace(r io.Reader) (*Trace, string, error) {
 	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	// ReadSlice bounds the header line by br's 4 KiB buffer: a longer
+	// line fails with bufio.ErrBufferFull.
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return nil, "", fmt.Errorf("%w: reading header: %v", ErrBadTrace, err)
 	}
+	header := string(line)
 	var magic, key string
 	var version, length int
 	if n, err := fmt.Sscanf(header, "%s %d %d %s", &magic, &version, &length, &key); n != 4 || err != nil {
@@ -147,8 +155,8 @@ func DecodeTrace(r io.Reader) (*Trace, string, error) {
 	if length <= 0 || length > MaxTracePayload {
 		return nil, "", fmt.Errorf("%w: implausible payload length %d", ErrBadTrace, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readPayload(br, length)
+	if err != nil {
 		return nil, "", fmt.Errorf("%w: truncated payload: %v", ErrBadTrace, err)
 	}
 	if sum := fmt.Sprintf("%x", sha256.Sum256(payload)); sum != key {
@@ -162,6 +170,23 @@ func DecodeTrace(r io.Reader) (*Trace, string, error) {
 		return nil, "", err
 	}
 	return &t, key, nil
+}
+
+// readPayload reads exactly n bytes from r. Its buffer starts at
+// min(n, payloadChunk) bytes and doubles, up to n, only when full.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(2*cap(buf), n)), buf...)
+		}
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Validate checks the structural invariants replay relies on so that a

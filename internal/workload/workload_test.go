@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -391,6 +392,44 @@ func TestTraceCorruption(t *testing.T) {
 			}
 		})
 	}
+
+	// Hostile bodies must fail before any large allocation: an 85-byte
+	// header claiming a 256 MiB payload that never arrives (it used to
+	// allocate the whole claim), and a 64 MiB header line with no newline
+	// (it used to be buffered whole).
+	hostile := []struct {
+		name string
+		body io.Reader
+	}{
+		{"claimed-payload-never-sent", strings.NewReader(
+			fmt.Sprintf("rctrace 1 %d %s\n", workload.MaxTracePayload, strings.Repeat("0", 64)))},
+		{"64MiB-header-line", io.LimitReader(repeatByte('0'), 64<<20)},
+	}
+	for _, c := range hostile {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := workload.DecodeTrace(c.body)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, workload.ErrBadTrace) {
+				t.Errorf("got %v, want ErrBadTrace", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+				t.Errorf("allocates %d bytes, want under 4 MiB", n)
+			}
+		})
+	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // readFixture returns a file under testdata.
