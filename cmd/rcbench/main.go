@@ -34,10 +34,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"time"
 
 	"regconn"
+	"regconn/internal/cli"
 	"regconn/internal/exp"
 	"regconn/internal/machine"
 )
@@ -70,8 +70,8 @@ func main() {
 	}
 }
 
-// run carries the whole benchmark so the profile-writing defers fire on
-// every exit path — a fatal os.Exit in main would skip them and leave a
+// run carries the whole benchmark so the profile-writing defer fires on
+// every exit path — a fatal os.Exit in main would skip it and leave a
 // truncated (unreadable) pprof file behind.
 func run() (err error) {
 	var (
@@ -84,36 +84,11 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, cerr := os.Create(*cpuprofile)
-		if cerr != nil {
-			return cerr
-		}
-		if cerr := pprof.StartCPUProfile(f); cerr != nil {
-			f.Close()
-			return cerr
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := cli.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			runtime.GC()
-			f, merr := os.Create(*memprofile)
-			if merr != nil {
-				if err == nil {
-					err = merr
-				}
-				return
-			}
-			defer f.Close()
-			if merr := pprof.WriteHeapProfile(f); merr != nil && err == nil {
-				err = merr
-			}
-		}()
-	}
+	defer func() { err = stop(err) }()
 
 	newRunner := func() *exp.Runner {
 		r := exp.NewRunner()

@@ -31,12 +31,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"regconn/internal/bench"
+	"regconn/internal/cli"
 	"regconn/internal/exp"
 	"regconn/internal/workload"
 )
@@ -110,16 +109,11 @@ func main() {
 	if (*profile != "" || *seeds != "") && id == "all" {
 		id = "scenarios"
 	}
-	stop, err := startCPUProfile(*cpuprofile)
+	stop, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
-	err = run(id, *quick, *bmName, *format, *workers, *stats, *progress, scen)
-	stop()
-	if merr := writeMemProfile(*memprofile); merr != nil && err == nil {
-		err = merr
-	}
-	if err != nil {
+	if err := stop(run(id, *quick, *bmName, *format, *workers, *stats, *progress, scen)); err != nil {
 		fatal(err)
 	}
 }
@@ -183,40 +177,6 @@ func run(expID string, quick bool, bmName, format string, workers int, stats, pr
 		}
 	}
 	return nil
-}
-
-// startCPUProfile begins a runtime/pprof CPU profile and returns the stop
-// function (a no-op when path is empty).
-func startCPUProfile(path string) (func(), error) {
-	if path == "" {
-		return func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
-
-// writeMemProfile dumps a post-GC heap profile (no-op when path is empty).
-func writeMemProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	runtime.GC()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return pprof.WriteHeapProfile(f)
 }
 
 func fatal(err error) {

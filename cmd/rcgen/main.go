@@ -26,6 +26,7 @@ import (
 
 	"regconn"
 	"regconn/internal/cli"
+	"regconn/internal/exp"
 	"regconn/internal/workload"
 )
 
@@ -190,10 +191,10 @@ func replay(args []string) error {
 }
 
 // smoke is the bounded CI gate: every profile × the first N seeds is
-// generated, interpreter-pinned, built and simulated under a small
-// backend matrix with the oracle and cycle ledger checked, and round-
-// tripped through the trace format with a verified replay. It is what
-// make verify runs.
+// generated, interpreter-pinned, and run under a small backend matrix as
+// an experiment point (exp.RunPoint: build, map-state check, simulation,
+// oracle, checksum and cycle ledger), then round-tripped through the
+// trace format with a verified replay. It is what make verify runs.
 func smoke(args []string) error {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
 	seeds := fs.Int64("seeds", 3, "seeds per profile")
@@ -217,19 +218,8 @@ func smoke(args []string) error {
 				return err
 			}
 			for _, a := range archs {
-				ex, err := regconn.Build(bm.Build(), a)
-				if err != nil {
-					return fmt.Errorf("%s (%s): %w", bm.Name, a.Mode, err)
-				}
-				res, err := ex.Verify()
-				if err != nil {
-					return fmt.Errorf("%s (%s): %w", bm.Name, a.Mode, err)
-				}
-				if res.RetInt != bm.Expect {
-					return fmt.Errorf("%s (%s): checksum %d, want %d", bm.Name, a.Mode, res.RetInt, bm.Expect)
-				}
-				if err := res.CheckLedger(); err != nil {
-					return fmt.Errorf("%s (%s): %w", bm.Name, a.Mode, err)
+				if _, err := exp.RunPoint(context.Background(), bm, a); err != nil {
+					return fmt.Errorf("%s backend: %w", a.Mode, err)
 				}
 				points++
 			}

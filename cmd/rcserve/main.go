@@ -42,7 +42,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -122,7 +121,6 @@ func run() error {
 		return err
 	}
 	defer sv.Close()
-	expvar.Publish("rcserve", sv.Metrics())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: sv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

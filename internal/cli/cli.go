@@ -1,13 +1,16 @@
-// Package cli holds the flag-parsing helpers shared by the command-line
-// tools. The library deliberately forgives a zero-value Arch (normalize
-// fills in the paper defaults), but an explicit flag value that is out
-// of range must be an error, not a silent substitution — `rcrun -model
-// 9` used to run model 3 and exit 0.
+// Package cli holds the flag-parsing and profiling helpers shared by the
+// command-line tools. The library deliberately forgives a zero-value Arch
+// (normalize fills in the paper defaults), but an explicit flag value that
+// is out of range must be an error, not a silent substitution — `rcrun
+// -model 9` used to run model 3 and exit 0.
 package cli
 
 import (
 	"flag"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"regconn"
@@ -79,4 +82,51 @@ func ArchFlags(fs *flag.FlagSet) func() (regconn.Arch, error) {
 		arch.Mode, err = ParseMode(*mode)
 		return arch, err
 	}
+}
+
+// StartProfiles begins the runtime/pprof profiles of the -cpuprofile and
+// -memprofile flags (either path may be empty) and returns the function
+// that finishes them: it stops the CPU profile and writes a post-GC heap
+// profile. A tool calls it once on every exit path with its run's error
+// and reports what it returns: that error, or else the first error
+// writing a profile.
+func StartProfiles(cpuPath, memPath string) (stop func(error) error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func(err error) error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if cerr := cpu.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if memPath != "" {
+			if merr := writeHeapProfile(memPath); err == nil {
+				err = merr
+			}
+		}
+		return err
+	}, nil
+}
+
+// writeHeapProfile writes a heap profile taken after a collection.
+func writeHeapProfile(path string) error {
+	runtime.GC()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,7 +1,10 @@
 package cli
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,5 +104,34 @@ func TestArchFlags(t *testing.T) {
 		if _, err := parse(args...); err == nil {
 			t.Errorf("%v parsed, want an error", args)
 		}
+	}
+}
+
+// TestStartProfiles: the returned stop writes both profiles whether the
+// run failed or not, and reports the run's own error first.
+func TestStartProfiles(t *testing.T) {
+	runErr := errors.New("run failed")
+	for _, want := range []error{nil, runErr} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+		stop, err := StartProfiles(cpu, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stop(want); got != want {
+			t.Errorf("stop(%v) = %v", want, got)
+		}
+		for _, path := range []string{cpu, mem} {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("after stop(%v): %s missing or empty (%v)", want, filepath.Base(path), err)
+			}
+		}
+	}
+	stop, err := StartProfiles("", "")
+	if err != nil || stop(nil) != nil {
+		t.Errorf("no profiles: start error %v", err)
+	}
+	if _, err := StartProfiles(filepath.Join(t.TempDir(), "no", "such", "dir"), ""); err == nil {
+		t.Error("an uncreatable CPU profile path started")
 	}
 }

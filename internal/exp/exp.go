@@ -21,8 +21,10 @@ import (
 
 	"regconn"
 	"regconn/internal/bench"
+	"regconn/internal/isa"
 	"regconn/internal/machine"
 	"regconn/internal/obs"
+	"regconn/internal/regalloc"
 )
 
 // Result is one simulated data point.
@@ -32,6 +34,11 @@ type Result struct {
 	Connects int64
 	Growth   float64 // fractional code-size increase (Figure 9)
 	SaveRest float64 // save/restore share of growth (Figure 9 black bar)
+
+	// Demand is the executable's register demand in the benchmark's class:
+	// the most distinct registers plus spill slots the allocator assigned
+	// in any one function (the pressure ablation).
+	Demand int
 
 	// Stats is the full cycle-ledger export of the simulation (stall
 	// breakdown, issue-slot histogram, map-table telemetry).
@@ -221,8 +228,44 @@ func (m *Frontends) RunPoint(ctx context.Context, bm bench.Benchmark, arch regco
 		Connects: res.Connects,
 		Growth:   ex.CodeGrowth(),
 		SaveRest: ex.SaveRestoreGrowth(),
+		Demand:   demand(ex, bm.FP),
 		Stats:    res.Stats(),
 	}, nil
+}
+
+// demand returns ex's register demand in the integer or floating-point
+// class: the most distinct registers plus spill slots the allocator
+// assigned that class in any one function. One bitset, cleared between
+// functions, holds register n as bit 2n and spill slot n as bit 2n+1.
+func demand(ex *regconn.Executable, fp bool) int {
+	class := isa.ClassInt
+	if fp {
+		class = isa.ClassFloat
+	}
+	var set []uint64
+	most := 0
+	for _, a := range ex.Alloc.ByFunc {
+		clear(set)
+		n := 0
+		for r, loc := range a.Loc {
+			if r.Class != class || loc.Kind == regalloc.LocNone {
+				continue
+			}
+			bit := 2 * loc.N
+			if loc.Kind == regalloc.LocSpill {
+				bit++
+			}
+			for bit>>6 >= len(set) {
+				set = append(set, 0)
+			}
+			if m := uint64(1) << (bit & 63); set[bit>>6]&m == 0 {
+				set[bit>>6] |= m
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	return most
 }
 
 // point is one benchmark×architecture coordinate of an experiment's grid.

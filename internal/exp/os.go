@@ -5,15 +5,14 @@ import (
 
 	"regconn"
 	"regconn/internal/bench"
-	"regconn/internal/isa"
-	"regconn/internal/regalloc"
 )
 
 // AblationPressure quantifies the paper's premise (§1): ILP optimization
 // increases the register requirement. For each benchmark it reports the
-// maximum number of simultaneously live virtual registers (of the
-// benchmark's class) in main under scalar compilation and under ILP
-// compilation for 2/4/8-issue targets.
+// register demand of its 16-core RC build (Result.Demand: the most
+// distinct registers plus spill slots of the benchmark's class that the
+// allocator assigned in any one function) under scalar compilation and
+// under ILP compilation for 2/4/8-issue targets.
 func (r *Runner) AblationPressure() (*Table, error) {
 	t := &Table{
 		ID:    "pressure",
@@ -21,51 +20,26 @@ func (r *Runner) AblationPressure() (*Table, error) {
 		Cols:  []string{"scalar", "ilp-2", "ilp-4", "ilp-8"},
 		Notes: []string{"the paper's premise (§1): optimization and scheduling for wider issue raise the register requirement past small register files"},
 	}
-	for _, bm := range r.sortedBench() {
-		var vals []float64
-		for _, cfg := range []regconn.Arch{
-			{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, ScalarOnly: true, Verify: true},
-			{Issue: 2, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true},
-			{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true},
-			{Issue: 8, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true},
-		} {
-			cfg = archFor(bm, 16, cfg)
-			ex, err := regconn.Build(bm.Build(), cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", bm.Name, err)
-			}
-			demand := 0
-			class := isa.ClassInt
-			if bm.FP {
-				class = isa.ClassFloat
-			}
-			for _, f := range ex.MProg.IR.Funcs {
-				a := ex.Alloc.ByFunc[f]
-				if a == nil {
-					continue
+	return r.tabulate(t, false, r.sortedBench(), func(bm bench.Benchmark) []cell {
+		// Every build allocates registers, so a zero demand is a result
+		// that predates the field (a daemon's older store), not a value.
+		// The points set Verify, which no figure does, so their keys stay
+		// apart from every other point's.
+		demandOf := func(col string, a regconn.Arch) cell {
+			return cell{archFor(bm, 16, a), func(res *Result) (float64, error) {
+				if res.Demand == 0 {
+					return 0, fmt.Errorf("%s: no register demand recorded for its %s point", bm.Name, col)
 				}
-				regs := map[int]bool{}
-				slots := map[int]bool{}
-				for r, loc := range a.Loc {
-					if r.Class != class {
-						continue
-					}
-					switch loc.Kind {
-					case regalloc.LocReg:
-						regs[loc.N] = true
-					case regalloc.LocSpill:
-						slots[loc.N] = true
-					}
-				}
-				if d := len(regs) + len(slots); d > demand {
-					demand = d
-				}
-			}
-			vals = append(vals, float64(demand))
+				return float64(res.Demand), nil
+			}}
 		}
-		t.AddRow(bm.Name, vals...)
-	}
-	return t, nil
+		return []cell{
+			demandOf("scalar", regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, ScalarOnly: true, Verify: true}),
+			demandOf("ilp-2", regconn.Arch{Issue: 2, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true}),
+			demandOf("ilp-4", regconn.Arch{Issue: 4, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true}),
+			demandOf("ilp-8", regconn.Arch{Issue: 8, LoadLatency: 2, Mode: regconn.WithRC, CombineConnects: true, Verify: true}),
+		}
+	})
 }
 
 // AblationAccum measures accumulator variable expansion (an IMPACT

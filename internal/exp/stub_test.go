@@ -37,6 +37,7 @@ func stubResult(k string) *Result {
 		Connects: int64(v >> 23 % 200000),
 		Growth:   float64(v>>31%500) / 1000,
 		SaveRest: float64(v>>41%100) / 1000,
+		Demand:   1 + int(v>>58),
 		Stats: machine.Stats{
 			Traps:  1 + int64(v>>47%9),
 			Ledger: machine.Ledger{TrapOverhead: int64(v >> 53 % 2000)},
@@ -136,7 +137,7 @@ func stubExperiment(t *testing.T, id string, workers int) string {
 // with `go test ./internal/exp -run StubbedFigures -update`.
 func TestStubbedFigures(t *testing.T) {
 	ids := []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"rivals", "models", "combined", "windows", "os", "accum", "scenarios"}
+		"rivals", "models", "combined", "windows", "os", "pressure", "accum", "scenarios"}
 	var got strings.Builder
 	for _, id := range ids {
 		seq := stubExperiment(t, id, 1)
@@ -200,5 +201,23 @@ func TestOSRequiresTraps(t *testing.T) {
 	}
 	if _, err := r.Generate("os"); err == nil || !strings.Contains(err.Error(), "no traps fired") {
 		t.Errorf("os with no traps: error %v, want \"no traps fired\"", err)
+	}
+}
+
+// TestPressureRequiresDemand: a pressure cell whose point recorded no
+// register demand (a result stored before the field existed) is an error
+// naming the benchmark, not a zero row.
+func TestPressureRequiresDemand(t *testing.T) {
+	r := NewQuickRunner()
+	r.Point = func(_ context.Context, bm bench.Benchmark, a regconn.Arch) (*Result, error) {
+		res := stubResult(key(bm.Name, a))
+		if bm.Name == "espresso" && a.Issue == 8 {
+			res.Demand = 0
+		}
+		return res, nil
+	}
+	_, err := r.Generate("pressure")
+	if err == nil || !strings.Contains(err.Error(), "espresso: no register demand") {
+		t.Errorf("pressure with a zero demand: error %v, want one naming espresso", err)
 	}
 }

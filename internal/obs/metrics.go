@@ -281,14 +281,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.seriesFor(values, func() any { return new(Gauge) }).(*Gauge)
 }
 
-// Each calls fn for every series in insertion order.
-func (v *GaugeVec) Each(fn func(values []string, g *Gauge)) {
-	keys, series := v.f.snapshot()
-	for i, s := range series {
-		fn(keys[i], s.(*Gauge))
-	}
-}
-
 // -------------------------------------------------------------- histogram
 
 // Histogram counts observations into fixed buckets: counts[i] holds
@@ -323,9 +315,6 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Bounds returns the bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // BucketCounts returns per-bucket (non-cumulative) counts; the final
 // entry is the +Inf bucket.

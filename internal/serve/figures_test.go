@@ -39,7 +39,7 @@ func figurePoints(t *testing.T, id string) []RunRequest {
 	var pts []RunRequest
 	r.Point = func(_ context.Context, bm bench.Benchmark, arch regconn.Arch) (*exp.Result, error) {
 		pts = append(pts, RunRequest{Benchmark: bm.Name, Arch: arch})
-		return &exp.Result{Cycles: 1}, nil
+		return &exp.Result{Cycles: 1, Demand: 1}, nil
 	}
 	if _, err := r.Generate(id); err != nil {
 		t.Fatal(err)
@@ -47,78 +47,112 @@ func figurePoints(t *testing.T, id string) []RunRequest {
 	return pts
 }
 
-// TestFiguresResolveThroughPoints: GET /v1/figures/fig7 answers exactly
-// the JSON of an in-process Runner's tables, its points are counted under
-// endpoint="figures", and each of them is then a /v1/run cache hit. Its
-// two workers resolve points concurrently, so the race run keeps the
-// daemon half and leaves out only the in-process regeneration.
+// TestFiguresResolveThroughPoints: GET /v1/figures/{fig7,pressure}
+// answers exactly the JSON of an in-process Runner's tables, its points
+// (60 and 48) are counted under endpoint="figures", and each of them is
+// then a /v1/run cache hit. Its two workers resolve points concurrently,
+// so the race run keeps the daemon half and leaves out only the
+// in-process regeneration.
 func TestFiguresResolveThroughPoints(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates fig7")
+		t.Skip("regenerates fig7 and pressure")
 	}
-	sv := newServer(t, Config{Workers: 2})
-	srv := httptest.NewServer(sv)
-	defer srv.Close()
+	for _, tc := range []struct {
+		id     string
+		points int
+	}{{"fig7", 60}, {"pressure", 48}} {
+		id := tc.id
+		t.Run(id, func(t *testing.T) {
+			sv := newServer(t, Config{Workers: 2})
+			srv := httptest.NewServer(sv)
+			defer srv.Close()
 
-	resp, got := getPath(t, srv, "/v1/figures/fig7")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("figures/fig7: %d: %s", resp.StatusCode, got)
-	}
-	if !raceEnabled {
-		tables, err := exp.NewRunner().Generate("fig7")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		json.NewEncoder(&want).Encode(tables)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("figures/fig7 differs from the in-process tables:\n%s\nwant:\n%s", got, want.Bytes())
-		}
-	}
+			resp, got := getPath(t, srv, "/v1/figures/"+id)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("figures/%s: %d: %s", id, resp.StatusCode, got)
+			}
+			if !raceEnabled {
+				tables, err := exp.NewRunner().Generate(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				json.NewEncoder(&want).Encode(tables)
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("figures/%s differs from the in-process tables:\n%s\nwant:\n%s", id, got, want.Bytes())
+				}
+			}
 
-	pts := figurePoints(t, "fig7")
-	var counted float64
-	for _, s := range promFamily(t, srv, "rcserve_points_total", "counter").Samples {
-		if s.Labels["endpoint"] == "figures" {
-			counted += s.Value
-		}
-	}
-	if counted != float64(len(pts)) {
-		t.Errorf("rcserve_points_total{endpoint=\"figures\"} = %v, want fig7's %d points", counted, len(pts))
-	}
-	for _, p := range []RunRequest{pts[0], pts[len(pts)-1]} {
-		resp, body := postRun(t, srv, p)
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" {
-			t.Errorf("/v1/run of fig7's %s point: %d X-Cache=%q, want a HIT: %.200s",
-				p.Benchmark, resp.StatusCode, resp.Header.Get("X-Cache"), body)
-		}
+			pts := figurePoints(t, id)
+			if len(pts) != tc.points {
+				t.Fatalf("%s asks its Runner for %d points, want %d", id, len(pts), tc.points)
+			}
+			var counted float64
+			for _, s := range promFamily(t, srv, "rcserve_points_total", "counter").Samples {
+				if s.Labels["endpoint"] == "figures" {
+					counted += s.Value
+				}
+			}
+			if counted != float64(len(pts)) {
+				t.Errorf("rcserve_points_total{endpoint=\"figures\"} = %v, want %s's %d points", counted, id, len(pts))
+			}
+			for _, p := range []RunRequest{pts[0], pts[len(pts)-1]} {
+				resp, body := postRun(t, srv, p)
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" {
+					t.Errorf("/v1/run of %s's %s point: %d X-Cache=%q, want a HIT: %.200s",
+						id, p.Benchmark, resp.StatusCode, resp.Header.Get("X-Cache"), body)
+				}
+			}
+		})
 	}
 }
 
 // TestFiguresHonorServerTimeout: a figure request runs under the daemon's
-// per-request deadline and in its worker slots. On a one-worker daemon
-// with a 300 ms timeout, fig8 (hundreds of points) answers 504, and the
-// slot is free for the next point. The race build is too slow for that
-// point to fit the daemon's 300 ms.
+// per-request deadline and in its worker slots. On a one-worker daemon,
+// fig8 (hundreds of points) under a 300 ms timeout and pressure (48
+// points) under a 50 ms one answer 504 soon after the deadline, and once
+// the daemon is idle a normal point is served. The race build is too slow
+// for that point to fit either deadline.
 func TestFiguresHonorServerTimeout(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs fig8 into its deadline")
+		t.Skip("runs figures into their deadlines")
 	}
-	sv := newServer(t, Config{Workers: 1, Timeout: 300 * time.Millisecond})
-	srv := httptest.NewServer(sv)
-	defer srv.Close()
+	for _, tc := range []struct {
+		id      string
+		timeout time.Duration
+	}{
+		{"fig8", 300 * time.Millisecond},
+		{"pressure", 50 * time.Millisecond},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			sv := newServer(t, Config{Workers: 1, Timeout: tc.timeout})
+			srv := httptest.NewServer(sv)
+			defer srv.Close()
 
-	start := time.Now()
-	resp, body := getPath(t, srv, "/v1/figures/fig8")
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("figures/fig8: %d after %v, want 504: %.200s", resp.StatusCode, time.Since(start), body)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
-		t.Fatalf("expected a structured error body, got %.200s (%v)", body, err)
-	}
-	resp, body = postRun(t, srv, RunRequest{Benchmark: "cmp", Arch: fastArch(), TimeoutMS: 250})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run after the figure's deadline: %d: %s", resp.StatusCode, body)
+			start := time.Now()
+			resp, body := getPath(t, srv, "/v1/figures/"+tc.id)
+			took := time.Since(start)
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("figures/%s: %d after %v, want 504: %.200s", tc.id, resp.StatusCode, took, body)
+			}
+			if took > tc.timeout+time.Second {
+				t.Errorf("figures/%s: 504 after %v, want about its %v deadline", tc.id, took, tc.timeout)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+				t.Fatalf("expected a structured error body, got %.200s (%v)", body, err)
+			}
+			// A compile cannot be canceled: the point that was compiling
+			// at the deadline keeps its slot until the compile ends.
+			for deadline := time.Now().Add(5 * time.Second); sv.met.inflight.Value() != 0; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the daemon still simulates 5 s after the figure's deadline")
+				}
+			}
+			resp, body = postRun(t, srv, RunRequest{Benchmark: "cmp", Arch: fastArch(), TimeoutMS: 250})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("run after the figure's deadline: %d: %s", resp.StatusCode, body)
+			}
+		})
 	}
 }

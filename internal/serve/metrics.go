@@ -23,7 +23,7 @@ import (
 //
 // Nothing here is published to the process-global expvar registry — it
 // panics on duplicate names and tests construct many servers per
-// process. cmd/rcserve publishes the map once under "rcserve".
+// process.
 //
 // The registered families are documented in DESIGN.md §15's metric
 // table; scripts/metricslint.sh cross-checks code against that table in
@@ -163,7 +163,7 @@ func floatFunc(f func() float64) expvar.Func { return func() any { return f() } 
 // buildLegacyMap assembles the expvar map served as GET /metrics JSON —
 // the same flat map[string]float64 shape as before the obs registry,
 // every key a live view over the labeled families. It is built exactly
-// once; Server.Metrics hands out this same *expvar.Map on every call.
+// once, so a scrape only renders it.
 func (m *metrics) buildLegacyMap(cache *lru.Cache[[]byte], st *store.Store, peers []string) *expvar.Map {
 	out := new(expvar.Map).Init()
 	sum := func(v *obs.CounterVec) expvar.Func {

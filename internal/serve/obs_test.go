@@ -337,14 +337,6 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 	}
 }
 
-// TestMetricsSamePointer: Server.Metrics returns one map, built once.
-func TestMetricsSamePointer(t *testing.T) {
-	sv := newServer(t, Config{Workers: 1})
-	if sv.Metrics() != sv.Metrics() {
-		t.Fatal("Metrics() built a fresh map per call")
-	}
-}
-
 // TestMetricsPrometheusExposition scrapes /metrics in Prometheus text
 // format and runs it through the strict in-repo parser.
 func TestMetricsPrometheusExposition(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"mime"
@@ -179,12 +178,6 @@ func (s *Server) Close() error {
 	}
 	return nil
 }
-
-// Metrics exposes the legacy counter map (cmd/rcserve publishes it to
-// expvar). The map is assembled exactly once — every call returns the
-// same *expvar.Map, whose entries are live views over the obs registry —
-// so scraping it does not rebuild anything.
-func (s *Server) Metrics() *expvar.Map { return s.met.legacy }
 
 // SetDraining flips /healthz to 503 so load balancers stop routing new
 // work here while http.Server.Shutdown lets inflight requests finish.

@@ -288,10 +288,14 @@ func TestReplayEndpoint(t *testing.T) {
 			}
 			return b
 		}()},
-		// 85 bytes claiming a 256 MiB payload: DecodeTrace used to
-		// allocate the whole claim before reading a byte of it.
+		// A header claiming a MaxTracePayload payload that never arrives:
+		// DecodeTrace used to allocate the whole claim before reading a
+		// byte of it.
 		{"claimed payload never sent", []byte(fmt.Sprintf("rctrace 1 %d %s\n",
 			workload.MaxTracePayload, strings.Repeat("0", 64)))},
+		// One byte past the payload cap is refused by its header alone.
+		{"payload length past the cap", []byte(fmt.Sprintf("rctrace 1 %d %s\n",
+			workload.MaxTracePayload+1, strings.Repeat("0", 64)))},
 	}
 	for _, c := range bad {
 		c := c

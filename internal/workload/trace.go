@@ -34,8 +34,13 @@ const (
 	// surface, and a version bump means "re-emit".
 	TraceVersion = 1
 
-	// MaxTracePayload caps the declared payload length.
-	MaxTracePayload = 1 << 28
+	// MaxTracePayload caps the declared payload length at 16 MiB. The
+	// largest trace any in-repo workload emits (the paper suite and every
+	// profile at seeds 0-9, issue 1 and 8, all five backends) is 0.92 MB:
+	// gen/mispredict-heavy/7 at 8-issue under spill. A replay buffers its
+	// whole payload before the checksum, so the cap bounds what one upload
+	// can hold.
+	MaxTracePayload = 1 << 24
 
 	// payloadChunk is the most DecodeTrace allocates ahead of the bytes
 	// that fill it. A payload up to this size is read into one exact-size

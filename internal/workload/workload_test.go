@@ -311,6 +311,8 @@ func TestTraceCorruption(t *testing.T) {
 		{"garbage header", []byte("rctrace one two three\n")},
 		{"negative length", []byte("rctrace 1 -5 abcd\n")},
 		{"huge length", []byte("rctrace 1 999999999999 abcd\n")},
+		{"length one past the cap", []byte(fmt.Sprintf("rctrace 1 %d %s\n",
+			workload.MaxTracePayload+1, strings.Repeat("0", 64)))},
 		{"truncated payload", raw[:len(raw)-10]},
 		{"bitflip in payload", func() []byte {
 			b := append([]byte(nil), raw...)
@@ -393,8 +395,8 @@ func TestTraceCorruption(t *testing.T) {
 		})
 	}
 
-	// Hostile bodies must fail before any large allocation: an 85-byte
-	// header claiming a 256 MiB payload that never arrives (it used to
+	// Hostile bodies must fail before any large allocation: a header
+	// claiming a MaxTracePayload payload that never arrives (it used to
 	// allocate the whole claim), and a 64 MiB header line with no newline
 	// (it used to be buffered whole).
 	hostile := []struct {

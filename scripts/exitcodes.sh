@@ -175,10 +175,23 @@ expect 1 "$BIN/rcexp" -quick -bench nosuchbench
 expect 0 "$BIN/rcexp" -quick -bench grep -exp table1
 expect 0 "$BIN/rcexp" -quick -bench grep -exp table1 -format csv
 
-# The os ablation and the -stats export run their points through the
-# experiment runner (oracle, checksum and ledger checked on every point).
+# The os and pressure ablations and the -stats export run their points
+# through the experiment runner (oracle, checksum and ledger checked on
+# every point).
 expect 0 "$BIN/rcexp" -quick -bench cmp -exp os
+expect 0 "$BIN/rcexp" -quick -bench cmp -exp pressure
 expect 0 "$BIN/rcexp" -quick -bench cmp -stats
+
+# -cpuprofile and -memprofile write both profiles (cli.StartProfiles).
+expect 0 "$BIN/rcexp" -quick -bench grep -exp table1 -cpuprofile "$BIN/cpu.pprof" -memprofile "$BIN/mem.pprof"
+for f in cpu.pprof mem.pprof; do
+    if [ -s "$BIN/$f" ]; then
+        echo "ok   $f written and non-empty"
+    else
+        echo "FAIL $f missing or empty after rcexp -cpuprofile/-memprofile"
+        fails=$((fails + 1))
+    fi
+done
 
 # rcexp scenarios: bad profiles and seed lists fail; a bounded scenario
 # run (one profile, one seed) succeeds, and generated workloads work as
