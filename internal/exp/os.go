@@ -23,8 +23,9 @@ func (r *Runner) AblationPressure() (*Table, error) {
 	return r.tabulate(t, false, r.sortedBench(), func(bm bench.Benchmark) []cell {
 		// Every build allocates registers, so a zero demand is a result
 		// that predates the field (a daemon's older store), not a value.
-		// The points set Verify, which no figure does, so their keys stay
-		// apart from every other point's.
+		// The points set Verify, which no figure's points do. The golden
+		// ledger grid does: an integer benchmark's ilp-4 point is its
+		// LedgerConfigs center-rc point.
 		demandOf := func(col string, a regconn.Arch) cell {
 			return cell{archFor(bm, 16, a), func(res *Result) (float64, error) {
 				if res.Demand == 0 {

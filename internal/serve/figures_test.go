@@ -110,9 +110,10 @@ func TestFiguresResolveThroughPoints(t *testing.T) {
 // TestFiguresHonorServerTimeout: a figure request runs under the daemon's
 // per-request deadline and in its worker slots. On a one-worker daemon,
 // fig8 (hundreds of points) under a 300 ms timeout and pressure (48
-// points) under a 50 ms one answer 504 soon after the deadline, and once
-// the daemon is idle a normal point is served. The race build is too slow
-// for that point to fit either deadline.
+// points) under a 50 ms one answer 504 soon after the deadline, and a
+// normal point is served next. After fig8 that point is sent at once, so
+// the slot must be free within its 250 ms. The race build is too slow for
+// that point to fit either deadline.
 func TestFiguresHonorServerTimeout(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs figures into their deadlines")
@@ -120,9 +121,15 @@ func TestFiguresHonorServerTimeout(t *testing.T) {
 	for _, tc := range []struct {
 		id      string
 		timeout time.Duration
+		// settle bounds how long the daemon may stay busy after the 504
+		// before the next point is sent; 0 sends it at once.
+		settle time.Duration
 	}{
-		{"fig8", 300 * time.Millisecond},
-		{"pressure", 50 * time.Millisecond},
+		{"fig8", 300 * time.Millisecond, 0},
+		// Under a 50 ms timeout the next point has 50 ms too, and the
+		// point compiling at pressure's deadline keeps the slot until
+		// its compile ends: a compile cannot be canceled.
+		{"pressure", 50 * time.Millisecond, 250 * time.Millisecond},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			sv := newServer(t, Config{Workers: 1, Timeout: tc.timeout})
@@ -142,11 +149,9 @@ func TestFiguresHonorServerTimeout(t *testing.T) {
 			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 				t.Fatalf("expected a structured error body, got %.200s (%v)", body, err)
 			}
-			// A compile cannot be canceled: the point that was compiling
-			// at the deadline keeps its slot until the compile ends.
-			for deadline := time.Now().Add(5 * time.Second); sv.met.inflight.Value() != 0; time.Sleep(5 * time.Millisecond) {
+			for deadline := time.Now().Add(tc.settle); tc.settle > 0 && sv.met.inflight.Value() != 0; time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatal("the daemon still simulates 5 s after the figure's deadline")
+					t.Fatalf("the daemon still simulates %v after the figure's 504", tc.settle)
 				}
 			}
 			resp, body = postRun(t, srv, RunRequest{Benchmark: "cmp", Arch: fastArch(), TimeoutMS: 250})
