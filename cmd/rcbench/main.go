@@ -10,7 +10,9 @@
 // run for `go tool pprof` (see DESIGN.md §10).
 //
 // It times the two heaviest single figures (7 and 10) and the full
-// experiment suite on fresh runners (no memoized results), and measures
+// experiment suite on fresh runners: results are not memoized across
+// timings, but front ends come from exp.RunPoint's process-wide memo, so
+// a timing may reuse front ends the previous one left. It also measures
 // raw simulation throughput in machine instructions per second: the
 // program is built once, then resimulated on a reused run arena, so the
 // number reports the steady-state sweep cost (DESIGN.md §13), not
@@ -19,11 +21,13 @@
 // contract says both are zero. -gate performs only the allocation checks
 // and exits nonzero if the steady state allocates, or if one cold point (a
 // Build plus a verified run on a fresh arena) allocates coldGateMiB or
-// more: the `make verify` hook, see scripts/benchgate.sh. -quick uses the
-// reduced three-benchmark suite for everything. The report also embeds the
-// cycle-ledger statistics of the throughput benchmark at the paper's
-// center configuration (stall breakdown, issue-slot histogram, map-table
-// telemetry) so future changes can diff the attribution.
+// more: the `make verify` hook, see scripts/benchgate.sh. It counts
+// process-wide allocations, so it refuses -cpuprofile and -memprofile.
+// -quick uses the reduced three-benchmark suite for everything. The
+// report also embeds the cycle-ledger statistics of the throughput
+// benchmark at the paper's center configuration (stall breakdown,
+// issue-slot histogram, map-table telemetry) so future changes can diff
+// the attribution.
 package main
 
 import (
@@ -83,6 +87,13 @@ func run() (err error) {
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to FILE")
 	)
 	flag.Parse()
+
+	// A gate run profiles nothing: the gate counts process-wide
+	// allocations, and the CPU profiler's writer goroutine allocates
+	// inside its window.
+	if *gate && (*cpuprofile != "" || *memprofile != "") {
+		return fmt.Errorf("-gate cannot be combined with -cpuprofile or -memprofile: the gate would count the profiler's allocations")
+	}
 
 	stop, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {

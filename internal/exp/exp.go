@@ -71,9 +71,10 @@ type Runner struct {
 	// be safe for concurrent use.
 	Progress func(done, total int)
 
-	// Point computes one uncached point (nil = RunPoint). rcserve's
-	// figures resolve their points through the daemon's cache, store and
-	// worker slots with it; tests stub it. Called from worker goroutines.
+	// Point computes one uncached point (nil = RunPoint: results stay per
+	// Runner, front ends are shared process-wide). rcserve's figures
+	// resolve their points through the daemon's cache, store and worker
+	// slots with it; tests stub it. Called from worker goroutines.
 	Point func(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error)
 }
 
@@ -165,22 +166,29 @@ func (r *Runner) RunContext(ctx context.Context, bm bench.Benchmark, arch regcon
 // everything it returns out of the arena before putting it back.
 var arenas = sync.Pool{New: func() any { return regconn.NewArena() }}
 
+// frontends is the process-wide memo behind RunPoint: every Runner in a
+// process shares its front ends. It holds 2 × GOMAXPROCS, the rule of
+// rcserve's 2 × Workers, bounded once per process, not once per Runner.
+var frontends = NewFrontends(2 * runtime.GOMAXPROCS(0))
+
 // RunPoint is the uncached build+simulate+verify of one data point,
-// canceled through ctx. Every point also runs the static map-state verifier
+// canceled through ctx. Its front end comes from one process-wide memo
+// (see Frontends: within a process, a benchmark's name must identify its
+// program). Every point also runs the static map-state verifier
 // (Arch.Verify): a sweep result is only reported for code rclint proved
 // correct. It is the execution primitive behind Runner.Run; the serve
-// daemon's cold path is the same method on its front-end memo. When the
-// context carries an obs span (a traced rcserve request), the build and
-// execute phases open child spans; with no span in the context the
+// daemon's cold path is the same method on its own memo. When the context
+// carries an obs span (a traced rcserve request), the build and execute
+// phases open child spans; with no span in the context the
 // instrumentation is nil no-ops.
 func RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
-	return (*Frontends)(nil).RunPoint(ctx, bm, arch)
+	return frontends.RunPoint(ctx, bm, arch)
 }
 
 // RunPoint is the package-level RunPoint with the point's front end taken
-// from the memo (a nil memo compiles it privately). The build span covers
-// the front-end lookup and the back end, and its frontend attribute says
-// whether the front end was compiled or reused.
+// from m. The build span covers the front-end lookup and the back end,
+// and its frontend attribute says whether the front end was compiled or
+// reused.
 func (m *Frontends) RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 	arch.Verify = true
 	_, buildSpan := obs.StartSpan(ctx, "build")
@@ -192,7 +200,7 @@ func (m *Frontends) RunPoint(ctx context.Context, bm bench.Benchmark, arch regco
 			how = "reused"
 		}
 		buildSpan.Set("frontend", how)
-		if m != nil && m.Observe != nil {
+		if m.Observe != nil {
 			m.Observe(how)
 		}
 		ex, err = fe.Build(arch)

@@ -19,8 +19,10 @@ import (
 // point recompiles and reports the same error. At the bound the least
 // recently used entry is evicted. It is safe for concurrent use.
 //
-// A nil *Frontends memoizes nothing: each point compiles its own front
-// end, as the package-level RunPoint does.
+// Within one process, a benchmark's canonical name must identify the
+// program its Build returns, as the Runner memo, serve.Key and the result
+// store already assume: the package-level RunPoint shares one memo across
+// the process, so two programs under one name would share a front end.
 type Frontends struct {
 	// Observe, when set, is called once per point that obtained a front
 	// end: with "compiled" when the point compiled it, "reused" when it
@@ -48,10 +50,6 @@ func NewFrontends(n int) *Frontends {
 // frontend returns the point's front end and whether it was reused rather
 // than compiled by this call.
 func (m *Frontends) frontend(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*regconn.Frontend, bool, error) {
-	if m == nil {
-		fe, err := regconn.NewFrontend(bm.Build(), arch)
-		return fe, false, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err // nobody waits for a compile started now
 	}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"regconn"
@@ -107,6 +109,12 @@ func checkSharedFrontend(t *testing.T, bm bench.Benchmark, base regconn.Arch) {
 	}
 }
 
+// privatePoint is the point computed with a front end of its own: a fresh
+// memo compiles it and keeps it from every other point.
+func privatePoint(bm bench.Benchmark, a regconn.Arch) (*Result, error) {
+	return NewFrontends(1).RunPoint(context.Background(), bm, a)
+}
+
 // frontendKey is the memo's key for a point.
 func frontendKey(bm bench.Benchmark, a regconn.Arch) string {
 	return fmt.Sprintf("%s/%+v", bm.Name, a.FrontendKey())
@@ -160,7 +168,7 @@ func TestFrontendsContract(t *testing.T) {
 	for i, name := range names {
 		a := arch(4)
 		a.Backend = name
-		want, err := RunPoint(context.Background(), bm, a)
+		want, err := privatePoint(bm, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,5 +238,64 @@ func TestFrontendsContract(t *testing.T) {
 	fe, _ := m.cache.Get(frontendKey(bm, arch(8)))
 	if _, err := fe.Build(arch(4)); err == nil {
 		t.Error("issue-8 front end built an issue-4 arch")
+	}
+}
+
+// TestRunnerSharesFrontends pins the Runner's default point path on one
+// benchmark's sweep-cold shape: the §5.3 baseline plus issue {1,2,4,8} ×
+// the five backends, 21 points through the grid evaluator on two
+// workers. RunPoint takes its front ends from the process-wide memo, so
+// the points compile one front end per FrontendKey — 5 — and reuse them
+// 16 times, and each result equals the one a private front end gives.
+func TestRunnerSharesFrontends(t *testing.T) {
+	bm, err := bench.ByName("cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh counting memo in the process-wide one's place, so the counts
+	// do not depend on what earlier tests left in it.
+	saved := frontends
+	t.Cleanup(func() { frontends = saved })
+	frontends = NewFrontends(2 * runtime.GOMAXPROCS(0))
+	var compiled, reused atomic.Int32
+	frontends.Observe = func(result string) {
+		if result == "compiled" {
+			compiled.Add(1)
+		} else {
+			reused.Add(1)
+		}
+	}
+
+	archs := []regconn.Arch{regconn.Baseline()}
+	var cells []cell
+	for _, issue := range []int{1, 2, 4, 8} {
+		for _, name := range backend.Names() {
+			a := archFor(bm, 16, regconn.Arch{Issue: issue, LoadLatency: 2, Backend: name, CombineConnects: true})
+			archs = append(archs, a)
+			cells = append(cells, cell{arch: a})
+		}
+	}
+	r := &Runner{Workers: 2, Benchmarks: []bench.Benchmark{bm}}
+	if _, err := r.eval([]row{{bm.Name, bm, cells}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.done) != len(archs) {
+		t.Fatalf("the grid ran %d points, want %d", len(r.done), len(archs))
+	}
+	if compiled.Load() != 5 || reused.Load() != 16 {
+		t.Errorf("21 points: %d front ends compiled and %d reused, want 5 and 16", compiled.Load(), reused.Load())
+	}
+	for _, a := range archs {
+		got, err := r.Run(bm, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := privatePoint(bm, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: shared front end %+v, private %+v", a, got, want)
+		}
 	}
 }

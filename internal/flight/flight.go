@@ -7,9 +7,9 @@
 //
 // It is shared by the rcserve daemon's point resolver (internal/serve,
 // values are marshaled response bytes) and the front-end memo
-// (exp.Frontends, values are compiled front ends). The experiment runner,
-// exp.Runner, does not use it: no caller asks one Runner for one point
-// twice at once, so its memo does not coalesce.
+// (exp.Frontends, values are compiled front ends). The experiment
+// runner's result memo (exp.Runner) does not use it: no caller asks one
+// Runner for one point twice at once, so its results do not coalesce.
 package flight
 
 import (

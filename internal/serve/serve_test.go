@@ -215,9 +215,25 @@ func TestDeadlineExceededDoesNotCorruptCache(t *testing.T) {
 	}
 }
 
+// cancelOnWait is a context canceled the first time anything waits on it
+// (calls Done). In a point the first waiter is the cycle loop arming its
+// cancellation poll, so the cancel arrives in the execute phase, after the
+// front-end memo's early ctx.Err check and the back end have passed.
+type cancelOnWait struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c cancelOnWait) Done() <-chan struct{} {
+	c.cancel()
+	return c.Context.Done()
+}
+
 // TestCancellationStopsSimulationEarly proves — under -race, via the serve
-// stack's execution primitive — that a canceled context stops the cycle
-// loop within the poll stride rather than running the program out.
+// stack's execution primitive — that a cancel arriving while a point
+// simulates stops the cycle loop within the poll stride rather than
+// running the program out. (A context canceled before the call never
+// reaches the loop: the front-end memo turns it away first.)
 func TestCancellationStopsSimulationEarly(t *testing.T) {
 	bm, err := bench.ByName("cpp")
 	if err != nil {
@@ -229,8 +245,8 @@ func TestCancellationStopsSimulationEarly(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = exp.RunPoint(ctx, bm, fastArch())
+	defer cancel()
+	_, err = exp.RunPoint(cancelOnWait{ctx, cancel}, bm, fastArch())
 	if !errors.Is(err, machine.ErrCanceled) {
 		t.Fatalf("canceled point error = %v", err)
 	}

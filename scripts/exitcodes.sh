@@ -12,7 +12,7 @@ GO=${GO:-go}
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT INT TERM
 
-if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis ./cmd/rcasm; then
+if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis ./cmd/rcasm ./cmd/rcbench; then
     echo "exitcodes: build failed" >&2
     exit 1
 fi
@@ -35,7 +35,8 @@ expect() {
 
 # expect_msg WANT PATTERN CMD ARGS... additionally requires PATTERN (grep
 # BRE) on the combined output — used to pin that backend-name rejections
-# list the registry's names, so the message tracks new registrations.
+# list the registry's names, so the message tracks new registrations, and
+# that a refused flag combination names its flags.
 expect_msg() {
     want=$1
     pattern=$2
@@ -49,7 +50,7 @@ expect_msg() {
         echo "FAIL output missing '$pattern': $*"
         fails=$((fails + 1))
     else
-        echo "ok   exit $got: $* (message lists backends)"
+        echo "ok   exit $got: $* (message has '$pattern')"
     fi
 }
 
@@ -192,6 +193,18 @@ for f in cpu.pprof mem.pprof; do
         fails=$((fails + 1))
     fi
 done
+
+# rcbench: the zero-alloc gate counts process-wide allocations, so it
+# refuses the profiling flags (the CPU profiler's own allocations failed
+# it) before measuring anything, and writes no profile.
+expect_msg 1 "gate cannot be combined with -cpuprofile or -memprofile" "$BIN/rcbench" -gate -cpuprofile "$BIN/gate.pprof"
+expect_msg 1 "gate cannot be combined with -cpuprofile or -memprofile" "$BIN/rcbench" -gate -memprofile "$BIN/gate.pprof"
+if [ -e "$BIN/gate.pprof" ]; then
+    echo "FAIL rcbench -gate wrote a profile it refused"
+    fails=$((fails + 1))
+else
+    echo "ok   rcbench -gate wrote no profile"
+fi
 
 # rcexp scenarios: bad profiles and seed lists fail; a bounded scenario
 # run (one profile, one seed) succeeds, and generated workloads work as
