@@ -32,7 +32,10 @@ test:
 # gate (scripts/benchgate.sh), and the bounded scenario smoke
 # (cmd/rcgen smoke: every workload profile × 3 seeds, each point
 # interpreter-pinned, ledger-checked, and round-tripped through the
-# trace format with a verified replay).
+# trace format with a verified replay). rclint, rcprof -grid and rcgen
+# smoke build through the in-process front-end memo (exp.Build), so
+# each compiles one front end per program and issue rate, not one per
+# point.
 verify: build
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...

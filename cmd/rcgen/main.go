@@ -225,8 +225,9 @@ func smoke(args []string) error {
 			}
 			// Round-trip the RC point through the trace format: encode,
 			// decode, replay — which re-verifies the recorded oracle
-			// outcome and the bit-exact cycle count.
-			ex, err := regconn.Build(bm.Build(), archs[0])
+			// outcome and the bit-exact cycle count. The build reuses the
+			// front end RunPoint just compiled.
+			ex, err := exp.Build(context.Background(), bm, archs[0])
 			if err != nil {
 				return err
 			}

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,12 +27,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"regconn"
 	"regconn/internal/backend"
 	"regconn/internal/bench"
 	"regconn/internal/core"
+	"regconn/internal/exp"
 	"regconn/internal/mapcheck"
 	"regconn/internal/workload"
 )
@@ -126,25 +127,18 @@ func run() error {
 		}
 	}
 
+	// The points of one benchmark and issue rate share a front end, which
+	// the memo compiles once.
 	results := make([]finding, len(points))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxInt(*workers, 1))
-	for i := range points {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pt := points[i]
-			ex, err := regconn.Build(pt.bm.Build(), pt.arch)
-			if err != nil {
-				results[i] = finding{desc: pt.desc, err: err}
-				return
-			}
-			results[i] = finding{desc: pt.desc, vs: ex.MapCheck()}
-		}(i)
-	}
-	wg.Wait()
+	exp.ForEach(*workers, len(points), func(i int) {
+		pt := points[i]
+		ex, err := exp.Build(context.Background(), pt.bm, pt.arch)
+		if err != nil {
+			results[i] = finding{desc: pt.desc, err: err}
+			return
+		}
+		results[i] = finding{desc: pt.desc, vs: ex.MapCheck()}
+	})
 
 	bad := 0
 	for _, r := range results {
@@ -273,11 +267,4 @@ func parseInts(s string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

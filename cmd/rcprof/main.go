@@ -20,11 +20,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"text/tabwriter"
 
 	"regconn"
@@ -134,7 +134,7 @@ func compareModels(bm bench.Benchmark, arch regconn.Arch) error {
 	for m := core.NoReset; m <= core.ReadWriteReset; m++ {
 		a := arch
 		a.Model = m
-		ex, err := regconn.Build(bm.Build(), a)
+		ex, err := exp.Build(context.Background(), bm, a)
 		if err != nil {
 			return fmt.Errorf("model %d: %w", m, err)
 		}
@@ -180,43 +180,12 @@ func runGrid(quick bool, workers int) error {
 	}
 	lines := make([]string, len(jobs))
 	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			jb := jobs[i]
-			a := jb.lc.Arch
-			a.Profile = true
-			ex, err := regconn.Build(jb.bm.Build(), a)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			res, err := ex.Verify()
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			p, err := prof.New(ex.Image, res)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			if err := p.CrossCheck(); err != nil {
-				errs[i] = fmt.Errorf("%s/%s: attribution does not match ledger: %w",
-					jb.bm.Name, jb.lc.Name, err)
-				return
-			}
-			co := p.ConnectOverhead()
-			lines[i] = fmt.Sprintf("ok %-10s %-14s cycles=%-9d connects=%-7d connect-cycles=%d",
-				jb.bm.Name, jb.lc.Name, res.Cycles, res.Connects, co.Cycles)
-		}(i)
-	}
-	wg.Wait()
+	exp.ForEach(workers, len(jobs), func(i int) {
+		var err error
+		if lines[i], err = gridPoint(jobs[i].bm, jobs[i].lc); err != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", jobs[i].bm.Name, jobs[i].lc.Name, err)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -227,4 +196,29 @@ func runGrid(quick bool, workers int) error {
 	}
 	fmt.Printf("rcprof: %d grid points profiled, every per-PC attribution sums to its ledger bucket\n", len(jobs))
 	return nil
+}
+
+// gridPoint builds one grid point through the front-end memo, profiles a
+// verified run of it, cross-checks the attribution and returns its report
+// line.
+func gridPoint(bm bench.Benchmark, lc exp.LedgerConfig) (string, error) {
+	a := lc.Arch
+	a.Profile = true
+	ex, err := exp.Build(context.Background(), bm, a)
+	if err != nil {
+		return "", err
+	}
+	res, err := ex.Verify()
+	if err != nil {
+		return "", err
+	}
+	p, err := prof.New(ex.Image, res)
+	if err != nil {
+		return "", err
+	}
+	if err := p.CrossCheck(); err != nil {
+		return "", fmt.Errorf("attribution does not match ledger: %w", err)
+	}
+	return fmt.Sprintf("ok %-10s %-14s cycles=%-9d connects=%-7d connect-cycles=%d",
+		bm.Name, lc.Name, res.Cycles, res.Connects, p.ConnectOverhead().Cycles), nil
 }

@@ -188,8 +188,8 @@ func run() error {
 		if rp <= 0 {
 			rp = arch.Issue
 		}
-		fmt.Printf("read ports  %d per class (port-limited cycles %d, port stalls %d)\n",
-			rp, res.PortLimitedCycles, res.StallPorts)
+		fmt.Printf("read ports  %d per class (port-limited cycles %d)\n",
+			rp, res.PortLimitedCycles)
 	}
 	if arch.Mode == regconn.Chain {
 		fmt.Printf("chaining    %d pairs, %d register-file reads elided\n",

@@ -18,31 +18,6 @@ import (
 	"regconn/internal/core"
 )
 
-// ParseBackend maps a -mode flag value to a registered backend. The
-// accepted-name set and the error message come from the backend registry,
-// so a newly registered backend is accepted — and named in the error —
-// without touching this package.
-func ParseBackend(s string) (backend.Backend, error) {
-	return backend.ByName(s)
-}
-
-// ParseMode maps a -mode flag value to the register mode. It accepts
-// exactly the registry's names (ParseBackend) and returns the backend's ID
-// for tools that carry the selection in Arch.Mode.
-func ParseMode(s string) (regconn.RegMode, error) {
-	be, err := ParseBackend(s)
-	if err != nil {
-		return 0, err
-	}
-	return be.ID(), nil
-}
-
-// ModeNames returns the registry's mode names for usage strings, in
-// sorted order.
-func ModeNames() []string {
-	return backend.Names()
-}
-
 // ParseModel validates a -model flag value against the four automatic-
 // reset models of the paper (§4.1).
 func ParseModel(n int) (core.Model, error) {
@@ -57,13 +32,16 @@ func ParseModel(n int) (core.Model, error) {
 // share: -issue 4, -intcore 16, -fpcore 32, -mode rc and -model 3, the
 // paper's center point. The returned function parses them into an Arch
 // with 2-cycle loads and combined connects; a tool with more architecture
-// flags sets those fields on the result.
+// flags sets those fields on the result. -mode accepts exactly the backend
+// registry's names, and its usage string and rejection message come from
+// the registry, so a newly registered backend is accepted — and named in
+// the error — without touching this package.
 func ArchFlags(fs *flag.FlagSet) func() (regconn.Arch, error) {
 	var (
 		issue   = fs.Int("issue", 4, "issue rate (1/2/4/8)")
 		intCore = fs.Int("intcore", 16, "core integer registers")
 		fpCore  = fs.Int("fpcore", 32, "core floating-point registers")
-		mode    = fs.String("mode", "rc", "register backend: "+strings.Join(ModeNames(), ", "))
+		mode    = fs.String("mode", "rc", "register backend: "+strings.Join(backend.Names(), ", "))
 		model   = fs.Int("model", 3, "RC automatic-reset model 1..4")
 	)
 	return func() (regconn.Arch, error) {
@@ -71,16 +49,19 @@ func ArchFlags(fs *flag.FlagSet) func() (regconn.Arch, error) {
 		if err != nil {
 			return regconn.Arch{}, err
 		}
-		arch := regconn.Arch{
+		be, err := backend.ByName(*mode)
+		if err != nil {
+			return regconn.Arch{}, err
+		}
+		return regconn.Arch{
 			Issue:           *issue,
 			LoadLatency:     2,
 			IntCore:         *intCore,
 			FPCore:          *fpCore,
+			Mode:            be.ID(),
 			Model:           m,
 			CombineConnects: true,
-		}
-		arch.Mode, err = ParseMode(*mode)
-		return arch, err
+		}, nil
 	}
 }
 

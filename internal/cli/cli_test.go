@@ -13,53 +13,6 @@ import (
 	"regconn/internal/core"
 )
 
-func TestParseMode(t *testing.T) {
-	good := map[string]regconn.RegMode{
-		"rc":         regconn.WithRC,
-		"spill":      regconn.WithoutRC,
-		"unlimited":  regconn.Unlimited,
-		"portreduce": regconn.PortReduce,
-		"chain":      regconn.Chain,
-	}
-	for s, want := range good {
-		m, err := ParseMode(s)
-		if err != nil || m != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, m, err, want)
-		}
-	}
-	for _, s := range []string{"", "RC", "junk", "with-RC"} {
-		_, err := ParseMode(s)
-		if err == nil {
-			t.Errorf("ParseMode(%q) succeeded, want error", s)
-			continue
-		}
-		// The rejection names every registered backend so the user can
-		// fix the flag without reading the source.
-		for _, name := range backend.Names() {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("ParseMode(%q) error %q does not name backend %q", s, err, name)
-			}
-		}
-	}
-}
-
-func TestParseBackendMatchesRegistry(t *testing.T) {
-	for _, name := range backend.Names() {
-		be, err := ParseBackend(name)
-		if err != nil {
-			t.Errorf("ParseBackend(%q): %v", name, err)
-			continue
-		}
-		if be.Name() != name {
-			t.Errorf("ParseBackend(%q) returned backend named %q", name, be.Name())
-		}
-		m, err := ParseMode(name)
-		if err != nil || m != be.ID() {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, m, err, be.ID())
-		}
-	}
-}
-
 func TestParseModel(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		m, err := ParseModel(n)
@@ -78,7 +31,9 @@ func TestParseModel(t *testing.T) {
 
 // TestArchFlags pins the shared flag block: its defaults are the paper's
 // center point with 2-cycle loads and combined connects, set flags land
-// in their fields, and bad -model and -mode values are errors.
+// in their fields, -mode accepts exactly the backend registry's names,
+// and bad -model and -mode values are errors, a -mode rejection naming
+// every registered backend.
 func TestArchFlags(t *testing.T) {
 	parse := func(args ...string) (regconn.Arch, error) {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
@@ -100,9 +55,42 @@ func TestArchFlags(t *testing.T) {
 	if err != nil || got != want {
 		t.Errorf("set flags = %+v, %v; want %+v", got, err, want)
 	}
-	for _, args := range [][]string{{"-model", "9"}, {"-mode", "junk"}} {
-		if _, err := parse(args...); err == nil {
-			t.Errorf("%v parsed, want an error", args)
+	modes := map[string]regconn.RegMode{
+		"rc":         regconn.WithRC,
+		"spill":      regconn.WithoutRC,
+		"unlimited":  regconn.Unlimited,
+		"portreduce": regconn.PortReduce,
+		"chain":      regconn.Chain,
+	}
+	for name, want := range modes {
+		if got, err := parse("-mode", name); err != nil || got.Mode != want {
+			t.Errorf("-mode %s = %v, %v; want %v", name, got.Mode, err, want)
+		}
+	}
+	for _, name := range backend.Names() {
+		be, err := backend.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := parse("-mode", name); err != nil || got.Mode != be.ID() {
+			t.Errorf("-mode %s = %v, %v; want the registry's %v", name, got.Mode, err, be.ID())
+		}
+	}
+	if _, err := parse("-model", "9"); err == nil {
+		t.Error("-model 9 parsed, want an error")
+	}
+	for _, mode := range []string{"", "RC", "junk", "with-RC"} {
+		_, err := parse("-mode", mode)
+		if err == nil {
+			t.Errorf("-mode %q parsed, want an error", mode)
+			continue
+		}
+		// The rejection names every registered backend so the user can
+		// fix the flag without reading the source.
+		for _, name := range backend.Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("-mode %q error %q does not name backend %q", mode, err, name)
+			}
 		}
 	}
 }

@@ -185,27 +185,41 @@ func RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Resu
 	return frontends.RunPoint(ctx, bm, arch)
 }
 
-// RunPoint is the package-level RunPoint with the point's front end taken
-// from m. The build span covers the front-end lookup and the back end,
-// and its frontend attribute says whether the front end was compiled or
-// reused.
+// Build compiles one point, its front end taken from the process-wide
+// memo behind RunPoint, and leaves Arch.Verify as given. It is the build
+// of the in-process grids that check an executable their own way (rclint,
+// rcprof -grid and -models, rcgen smoke's trace round trip), so their
+// points share front ends with each other and with RunPoint's.
+func Build(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*regconn.Executable, error) {
+	return frontends.Build(ctx, bm, arch)
+}
+
+// Build is the package-level Build with the point's front end taken from
+// m. Its build span covers the front-end lookup and the back end, and its
+// frontend attribute says whether the front end was compiled or reused.
+func (m *Frontends) Build(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*regconn.Executable, error) {
+	_, span := obs.StartSpan(ctx, "build")
+	defer span.End()
+	fe, reused, err := m.frontend(ctx, bm, arch)
+	if err != nil {
+		return nil, err
+	}
+	how := "compiled"
+	if reused {
+		how = "reused"
+	}
+	span.Set("frontend", how)
+	if m.Observe != nil {
+		m.Observe(how)
+	}
+	return fe.Build(arch)
+}
+
+// RunPoint is the package-level RunPoint on m's front ends: Build with
+// Arch.Verify forced on, then the simulation and its checks.
 func (m *Frontends) RunPoint(ctx context.Context, bm bench.Benchmark, arch regconn.Arch) (*Result, error) {
 	arch.Verify = true
-	_, buildSpan := obs.StartSpan(ctx, "build")
-	fe, reused, err := m.frontend(ctx, bm, arch)
-	var ex *regconn.Executable
-	if err == nil {
-		how := "compiled"
-		if reused {
-			how = "reused"
-		}
-		buildSpan.Set("frontend", how)
-		if m.Observe != nil {
-			m.Observe(how)
-		}
-		ex, err = fe.Build(arch)
-	}
-	buildSpan.End()
+	ex, err := m.Build(ctx, bm, arch)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", bm.Name, err)
 	}
@@ -384,25 +398,34 @@ func (r *Runner) prefetch(pts []point) {
 			uniq = append(uniq, p)
 		}
 	}
-	work := make(chan point)
 	var done atomic.Int64
+	ForEach(r.workers(), len(uniq), func(i int) {
+		_, _ = r.Run(uniq[i].bm, uniq[i].arch)
+		if r.Progress != nil {
+			r.Progress(int(done.Add(1)), len(uniq))
+		}
+	})
+}
+
+// ForEach calls f(i) for every i in [0, n) on min(max(workers, 1), n)
+// goroutines, which take the indices in order, and returns when every
+// call has. It is the worker pool of the grid evaluator and of the
+// command-line grids that build through the front-end memo (rclint,
+// rcprof -grid): handing the points out in grid order keeps the points
+// that share a front end close together. f must be safe for concurrent
+// use.
+func ForEach(workers, n int, f func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(r.workers(), len(uniq)); w > 0; w-- {
+	for w := min(max(workers, 1), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for p := range work {
-				_, _ = r.Run(p.bm, p.arch)
-				if r.Progress != nil {
-					r.Progress(int(done.Add(1)), len(uniq))
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}
-	for _, p := range uniq {
-		work <- p
-	}
-	close(work)
 	wg.Wait()
 }
 
@@ -564,59 +587,53 @@ func (t *Table) Format() string {
 // client's fault, a failed generation is ours).
 var ErrUnknownExperiment = errors.New("unknown experiment")
 
+// experiments is the experiment table: each reproducible experiment's id
+// and generator, in the order Experiments lists them.
+var experiments = []struct {
+	id  string
+	gen func(*Runner) ([]*Table, error)
+}{
+	{"table1", func(*Runner) ([]*Table, error) { return []*Table{Table1()}, nil }},
+	{"fig7", one((*Runner).Figure7)},
+	{"fig8", (*Runner).Figure8},
+	{"fig9", (*Runner).Figure9},
+	{"fig10", one((*Runner).Figure10)},
+	{"fig11", one((*Runner).Figure11)},
+	{"fig12", one((*Runner).Figure12)},
+	{"fig13", one((*Runner).Figure13)},
+	{"rivals", one((*Runner).Rivals)},
+	{"models", one((*Runner).AblationModels)},
+	{"combined", one((*Runner).AblationCombined)},
+	{"windows", one((*Runner).AblationWindows)},
+	{"os", one((*Runner).AblationOS)},
+	{"pressure", one((*Runner).AblationPressure)},
+	{"accum", one((*Runner).AblationAccum)},
+	{"scenarios", one(func(r *Runner) (*Table, error) { return r.Scenarios(ScenarioConfig{}) })},
+}
+
+// one adapts a one-table generator to the experiment table.
+func one(gen func(*Runner) (*Table, error)) func(*Runner) ([]*Table, error) {
+	return func(r *Runner) ([]*Table, error) {
+		t, err := gen(r)
+		return []*Table{t}, err
+	}
+}
+
 // Experiments lists every reproducible experiment by id.
 func Experiments() []string {
-	return []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "rivals", "models", "combined", "windows", "os", "pressure", "accum", "scenarios"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Generate dispatches on an experiment id.
 func (r *Runner) Generate(id string) ([]*Table, error) {
-	switch id {
-	case "table1":
-		return []*Table{Table1()}, nil
-	case "fig7":
-		t, err := r.Figure7()
-		return []*Table{t}, err
-	case "fig8":
-		return r.Figure8()
-	case "fig9":
-		return r.Figure9()
-	case "fig10":
-		t, err := r.Figure10()
-		return []*Table{t}, err
-	case "fig11":
-		t, err := r.Figure11()
-		return []*Table{t}, err
-	case "fig12":
-		t, err := r.Figure12()
-		return []*Table{t}, err
-	case "fig13":
-		t, err := r.Figure13()
-		return []*Table{t}, err
-	case "rivals":
-		t, err := r.Rivals()
-		return []*Table{t}, err
-	case "models":
-		t, err := r.AblationModels()
-		return []*Table{t}, err
-	case "combined":
-		t, err := r.AblationCombined()
-		return []*Table{t}, err
-	case "windows":
-		t, err := r.AblationWindows()
-		return []*Table{t}, err
-	case "os":
-		t, err := r.AblationOS()
-		return []*Table{t}, err
-	case "pressure":
-		t, err := r.AblationPressure()
-		return []*Table{t}, err
-	case "accum":
-		t, err := r.AblationAccum()
-		return []*Table{t}, err
-	case "scenarios":
-		t, err := r.Scenarios(ScenarioConfig{})
-		return []*Table{t}, err
+	for _, e := range experiments {
+		if e.id == id {
+			return e.gen(r)
+		}
 	}
 	ids := strings.Join(Experiments(), ", ")
 	return nil, fmt.Errorf("exp: %w %q (have: %s)", ErrUnknownExperiment, id, ids)

@@ -21,8 +21,9 @@ import (
 //
 // Within one process, a benchmark's canonical name must identify the
 // program its Build returns, as the Runner memo, serve.Key and the result
-// store already assume: the package-level RunPoint shares one memo across
-// the process, so two programs under one name would share a front end.
+// store already assume: the package-level RunPoint and Build share one
+// memo across the process, so two programs under one name would share a
+// front end.
 type Frontends struct {
 	// Observe, when set, is called once per point that obtained a front
 	// end: with "compiled" when the point compiled it, "reused" when it

@@ -13,6 +13,7 @@ import (
 	"regconn"
 	"regconn/internal/backend"
 	"regconn/internal/bench"
+	"regconn/internal/core"
 	"regconn/internal/ir"
 	"regconn/internal/workload"
 )
@@ -241,6 +242,24 @@ func TestFrontendsContract(t *testing.T) {
 	}
 }
 
+// swapCountingMemo puts a fresh memo that counts its compiled and reused
+// front ends in the process-wide one's place for the rest of the test, so
+// the counts do not depend on what earlier tests left in it.
+func swapCountingMemo(t *testing.T) (compiled, reused *atomic.Int32) {
+	saved := frontends
+	t.Cleanup(func() { frontends = saved })
+	frontends = NewFrontends(2 * runtime.GOMAXPROCS(0))
+	compiled, reused = new(atomic.Int32), new(atomic.Int32)
+	frontends.Observe = func(result string) {
+		if result == "compiled" {
+			compiled.Add(1)
+		} else {
+			reused.Add(1)
+		}
+	}
+	return compiled, reused
+}
+
 // TestRunnerSharesFrontends pins the Runner's default point path on one
 // benchmark's sweep-cold shape: the §5.3 baseline plus issue {1,2,4,8} ×
 // the five backends, 21 points through the grid evaluator on two
@@ -252,19 +271,7 @@ func TestRunnerSharesFrontends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fresh counting memo in the process-wide one's place, so the counts
-	// do not depend on what earlier tests left in it.
-	saved := frontends
-	t.Cleanup(func() { frontends = saved })
-	frontends = NewFrontends(2 * runtime.GOMAXPROCS(0))
-	var compiled, reused atomic.Int32
-	frontends.Observe = func(result string) {
-		if result == "compiled" {
-			compiled.Add(1)
-		} else {
-			reused.Add(1)
-		}
-	}
+	compiled, reused := swapCountingMemo(t)
 
 	archs := []regconn.Arch{regconn.Baseline()}
 	var cells []cell
@@ -296,6 +303,64 @@ func TestRunnerSharesFrontends(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: shared front end %+v, private %+v", a, got, want)
+		}
+	}
+}
+
+// TestGridSharesFrontends pins the tools' grid path, exp.Build through
+// exp.ForEach, on one benchmark's rclint grid at 4-issue: rc under the
+// four reset models × combine on/off, spill and unlimited. The ten points
+// have one FrontendKey, so on two workers they compile one front end and
+// reuse it nine times; every executable passes the map-state verifier and
+// has the code and annotations regconn.Build gives it, and ForEach calls
+// f once per index.
+func TestGridSharesFrontends(t *testing.T) {
+	bm, err := bench.ByName("cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, reused := swapCountingMemo(t)
+
+	base := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32, Windows: regconn.WindowLRU}
+	var archs []regconn.Arch
+	for _, model := range []core.Model{core.NoReset, core.WriteReset, core.WriteResetReadUpdate, core.ReadWriteReset} {
+		for _, combine := range []bool{true, false} {
+			a := base
+			a.Mode, a.Model, a.CombineConnects = regconn.WithRC, model, combine
+			archs = append(archs, a)
+		}
+	}
+	for _, mode := range []regconn.RegMode{regconn.WithoutRC, regconn.Unlimited} {
+		a := base
+		a.Mode = mode
+		archs = append(archs, a)
+	}
+	exes := make([]*regconn.Executable, len(archs))
+	errs := make([]error, len(archs))
+	calls := make([]atomic.Int32, len(archs))
+	ForEach(2, len(archs), func(i int) {
+		calls[i].Add(1)
+		exes[i], errs[i] = Build(context.Background(), bm, archs[i])
+	})
+	if compiled.Load() != 1 || reused.Load() != 9 {
+		t.Errorf("10 points: %d front ends compiled and %d reused, want 1 and 9", compiled.Load(), reused.Load())
+	}
+	for i, a := range archs {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("point %d: f ran %d times, want once", i, n)
+		}
+		if errs[i] != nil {
+			t.Fatalf("%+v: %v", a, errs[i])
+		}
+		if vs := exes[i].MapCheck(); len(vs) > 0 {
+			t.Errorf("%+v: %d map-state violations, first %v", a, len(vs), vs[0])
+		}
+		want, err := regconn.Build(bm.Build(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(exes[i].Image.Code, want.Image.Code) || !reflect.DeepEqual(exes[i].Image.Ann, want.Image.Ann) {
+			t.Errorf("%+v: the memo's executable differs from regconn.Build's", a)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"regconn"
@@ -55,5 +57,32 @@ func TestWarmCollapsesDuplicates(t *testing.T) {
 	}
 	if calls := sc.calls[key(bm.Name, regconn.Baseline())]; len(sc.calls) != 1 || calls != 1 {
 		t.Errorf("Point ran %d distinct points, the named one %d times; want 1 and 1", len(sc.calls), calls)
+	}
+}
+
+// TestForEach: the pool calls f once per index at any worker count and
+// never for n = 0, and a pool of one worker (the floor for workers ≤ 1)
+// takes the indices in order.
+func TestForEach(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 2, 8} {
+		for _, n := range []int{0, 1, 5} {
+			var mu sync.Mutex
+			var got []int
+			ForEach(workers, n, func(i int) {
+				mu.Lock()
+				got = append(got, i)
+				mu.Unlock()
+			})
+			if workers > 1 {
+				slices.Sort(got)
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("ForEach(%d, %d) called f with %v, want %v", workers, n, got, want)
+			}
+		}
 	}
 }

@@ -34,7 +34,6 @@ type PCProf struct {
 	StallData    []int64 // operand-not-ready stall cycles blocked here
 	StallMem     []int64 // memory-channel stall cycles blocked here
 	StallConn    []int64 // connect-interlock stall cycles blocked here
-	StallPorts   []int64 // read-port stall cycles blocked here (portreduce)
 	StallBranch  []int64 // mispredict penalty cycles caused by this branch
 	TrapOverhead []int64 // interrupt overhead charged at the resume PC
 	Halt         []int64 // final no-issue HALT fetch cycle
@@ -43,7 +42,7 @@ type PCProf struct {
 // reset sizes every column to n instructions, all zero.
 func (p *PCProf) reset(n int) {
 	for _, col := range []*[]int64{&p.Instrs, &p.IssueCycles, &p.StallData, &p.StallMem,
-		&p.StallConn, &p.StallPorts, &p.StallBranch, &p.TrapOverhead, &p.Halt} {
+		&p.StallConn, &p.StallBranch, &p.TrapOverhead, &p.Halt} {
 		*col = zeroed(*col, n)
 	}
 }
@@ -66,8 +65,6 @@ func (p *PCProf) Event(e Event) {
 			p.StallMem[e.PC]++
 		case stallConn:
 			p.StallConn[e.PC]++
-		case stallPorts:
-			p.StallPorts[e.PC]++
 		}
 	case EvMispredict:
 		p.StallBranch[e.PC] += e.Dur
@@ -87,7 +84,7 @@ func (p *PCProf) Len() int { return len(p.Instrs) }
 // ledger partitions ActiveCycles into).
 func (p *PCProf) CyclesAt(pc int) int64 {
 	return p.IssueCycles[pc] + p.StallData[pc] + p.StallMem[pc] + p.StallConn[pc] +
-		p.StallPorts[pc] + p.StallBranch[pc] + p.TrapOverhead[pc] + p.Halt[pc]
+		p.StallBranch[pc] + p.TrapOverhead[pc] + p.Halt[pc]
 }
 
 // sum totals one attribution column.
@@ -127,7 +124,6 @@ func (p *PCProf) CheckAgainst(r *Result) error {
 		{"stall-data", p.StallData, r.StallData},
 		{"stall-mem", p.StallMem, r.StallMem},
 		{"stall-connect", p.StallConn, r.StallConn},
-		{"stall-ports", p.StallPorts, r.StallPorts},
 		{"stall-branch", p.StallBranch, r.StallBranch},
 		{"trap-overhead", p.TrapOverhead, r.TrapOverheads},
 		{"halt", p.Halt, r.HaltCycles},

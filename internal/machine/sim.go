@@ -242,7 +242,6 @@ type Result struct {
 	StallData   int64
 	StallMem    int64
 	StallConn   int64
-	StallPorts  int64 // register-file read ports exhausted (Config.ReadPorts)
 	StallBranch int64 // mispredict front-end refill penalty cycles
 
 	// HaltCycles counts the final HALT-fetch cycle when nothing issued in
@@ -283,16 +282,18 @@ type Result struct {
 	// PortLimitedCycles counts cycles whose issue group was cut short by
 	// the read-port limit after at least one instruction issued. Such
 	// cycles are issue cycles in the ledger (the width loss, not a stall,
-	// is the cost), so this is telemetry rather than a ledger bucket; the
-	// zero-issue StallPorts bucket stays reachable only for ISAs with more
-	// sources than ports.
+	// is the cost), so this is telemetry rather than a ledger bucket. The
+	// head of a group always has ports (an instruction reads at most two
+	// registers of a class and Config clamps ReadPorts to at least 2), so
+	// no zero-issue cycle is a port stall; were one ever reachable, its
+	// cycle would fall outside every bucket and CheckLedger would fail.
 	PortLimitedCycles int64
 }
 
 // CheckLedger verifies that every cycle this process occupied the machine
 // is attributed to exactly one bucket: issue cycles (IssueHist), branch
 // penalty, and trap overhead must sum to ActiveCycles; zero-issue cycles
-// must be fully explained by the four stall reasons plus the halt cycle;
+// must be fully explained by the three stall reasons plus the halt cycle;
 // and the issue histogram must account for every issued instruction.
 func (r *Result) CheckLedger() error {
 	if r.IssueHist == nil {
@@ -307,9 +308,9 @@ func (r *Result) CheckLedger() error {
 		return fmt.Errorf("machine: ledger does not close: issue %d + branch %d + trap %d = %d, want %d active cycles",
 			histCycles, r.StallBranch, r.TrapOverheads, got, r.ActiveCycles)
 	}
-	if got := r.StallData + r.StallMem + r.StallConn + r.StallPorts + r.HaltCycles; got != r.IssueHist[0] {
-		return fmt.Errorf("machine: zero-issue cycles unattributed: data %d + mem %d + connect %d + ports %d + halt %d = %d, want %d",
-			r.StallData, r.StallMem, r.StallConn, r.StallPorts, r.HaltCycles, got, r.IssueHist[0])
+	if got := r.StallData + r.StallMem + r.StallConn + r.HaltCycles; got != r.IssueHist[0] {
+		return fmt.Errorf("machine: zero-issue cycles unattributed: data %d + mem %d + connect %d + halt %d = %d, want %d",
+			r.StallData, r.StallMem, r.StallConn, r.HaltCycles, got, r.IssueHist[0])
 	}
 	if histInstrs != r.Instrs {
 		return fmt.Errorf("machine: issue histogram covers %d instructions, result has %d", histInstrs, r.Instrs)
@@ -571,9 +572,8 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 					// The group still issued something, so no ledger stall is
 					// charged; count the cycle as port-limited for the stats.
 					// (With the two-source ISA and the >=2-port clamp, the
-					// head of a group always has ports, so this — not the
-					// zero-issue StallPorts bucket — is where a reduced-port
-					// file shows up.)
+					// head of a group always has ports, so this is where a
+					// reduced-port file shows up.)
 					s.res.PortLimitedCycles++
 				}
 				break
@@ -630,8 +630,6 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 				s.res.StallMem++
 			case stallConn:
 				s.res.StallConn++
-			case stallPorts:
-				s.res.StallPorts++
 			}
 			if s.probe != nil {
 				s.probe.Event(Event{Kind: EvStall, Cycle: issueCycle, Dur: 1,

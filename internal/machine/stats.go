@@ -14,15 +14,14 @@ import (
 // buckets partition ActiveCycles exactly; Result.CheckLedger enforces the
 // invariant (see DESIGN.md §8 for the attribution semantics).
 type Ledger struct {
-	Issued       int64 `json:"issued"`                // cycles issuing >= 1 instruction
-	StallData    int64 `json:"stall_data"`            // operand not ready
-	StallMem     int64 `json:"stall_mem"`             // memory channels exhausted
-	StallConnect int64 `json:"stall_connect"`         // connect-latency interlock
-	StallPorts   int64 `json:"stall_ports,omitempty"` // read ports exhausted (portreduce)
-	StallBranch  int64 `json:"stall_branch"`          // mispredict refill penalty
-	TrapOverhead int64 `json:"trap_overhead"`         // handlers / context switches
-	Halt         int64 `json:"halt"`                  // final HALT fetch with no issue
-	Total        int64 `json:"total"`                 // sum of the above == ActiveCycles
+	Issued       int64 `json:"issued"`        // cycles issuing >= 1 instruction
+	StallData    int64 `json:"stall_data"`    // operand not ready
+	StallMem     int64 `json:"stall_mem"`     // memory channels exhausted
+	StallConnect int64 `json:"stall_connect"` // connect-latency interlock
+	StallBranch  int64 `json:"stall_branch"`  // mispredict refill penalty
+	TrapOverhead int64 `json:"trap_overhead"` // handlers / context switches
+	Halt         int64 `json:"halt"`          // final HALT fetch with no issue
+	Total        int64 `json:"total"`         // sum of the above == ActiveCycles
 }
 
 // Stats is the machine-readable summary of one simulation.
@@ -56,7 +55,6 @@ func (r *Result) Stats() Stats {
 		StallData:    r.StallData,
 		StallMem:     r.StallMem,
 		StallConnect: r.StallConn,
-		StallPorts:   r.StallPorts,
 		StallBranch:  r.StallBranch,
 		TrapOverhead: r.TrapOverheads,
 		Halt:         r.HaltCycles,
@@ -67,7 +65,7 @@ func (r *Result) Stats() Stats {
 		}
 	}
 	led.Total = led.Issued + led.StallData + led.StallMem + led.StallConnect +
-		led.StallPorts + led.StallBranch + led.TrapOverhead + led.Halt
+		led.StallBranch + led.TrapOverhead + led.Halt
 	mix := make(map[string]int64)
 	for k, n := range r.OpMix {
 		if n != 0 {

@@ -101,7 +101,6 @@ type Row struct {
 	StallData   int64
 	StallMem    int64
 	StallConn   int64
-	StallPorts  int64
 	StallBranch int64
 	Trap        int64
 	Halt        int64
@@ -115,7 +114,6 @@ func (p *Profile) addPC(r *Row, pc int) {
 	r.StallData += p.PC.StallData[pc]
 	r.StallMem += p.PC.StallMem[pc]
 	r.StallConn += p.PC.StallConn[pc]
-	r.StallPorts += p.PC.StallPorts[pc]
 	r.StallBranch += p.PC.StallBranch[pc]
 	r.Trap += p.PC.TrapOverhead[pc]
 	r.Halt += p.PC.Halt[pc]

@@ -38,11 +38,6 @@ func (p *Profile) WriteReport(w io.Writer, topN int) error {
 		r.StallData, pct(r.StallData, total),
 		r.StallMem, pct(r.StallMem, total),
 		r.StallConn, pct(r.StallConn, total))
-	if r.StallPorts > 0 {
-		// Only the portreduce backend produces this bucket; keep legacy
-		// reports byte-identical by omitting it when zero.
-		fmt.Fprintf(w, "  stall-ports %d (%s)\n", r.StallPorts, pct(r.StallPorts, total))
-	}
 	fmt.Fprintf(w, "  stall-branch %d (%s)  trap %d (%s)  halt %d\n",
 		r.StallBranch, pct(r.StallBranch, total),
 		r.TrapOverheads, pct(r.TrapOverheads, total), r.HaltCycles)

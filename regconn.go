@@ -107,8 +107,11 @@ type Arch struct {
 
 	// Verify runs the static map-state verifier (internal/mapcheck, the
 	// rclint pass) on the scheduled machine code and fails the build on
-	// any violation. All tests enable it; it is off by default only to
-	// keep experiment sweeps at full speed.
+	// any violation. exp.RunPoint turns it on for every experiment and
+	// rcserve point, and all tests enable it; the check takes a small
+	// fraction of a back end's time. A build that wants the findings
+	// rather than a failure leaves it off and calls Executable.MapCheck,
+	// as rclint does.
 	Verify bool
 
 	// Trap enables periodic interrupts or context switches and selects

@@ -90,6 +90,11 @@ expect 0 "$BIN/rcrun" -bench grep -trace-json "$BIN/t.json"
 expect 0 "$BIN/rcrun" -bench cmp -prof
 expect 0 "$BIN/rcprof" -bench cmp -trace-json "$BIN/p.json"
 
+# rcprof's -models and -grid build through the in-process front-end memo
+# (exp.Build) and -grid fans out through exp.ForEach; both succeed.
+expect 0 "$BIN/rcprof" -bench cmp -models
+expect 0 "$BIN/rcprof" -grid -quick
+
 # rcrun generated workloads and trace emission: malformed gen names and
 # unknown profiles fail; a valid spec runs, and -emit-trace produces a
 # file rcgen accepts.
