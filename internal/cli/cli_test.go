@@ -29,58 +29,34 @@ func TestParseModel(t *testing.T) {
 	}
 }
 
-// TestArchFlags pins the shared flag block: its defaults are the paper's
-// center point with 2-cycle loads and combined connects, set flags land
-// in their fields, -mode accepts exactly the backend registry's names,
-// and bad -model and -mode values are errors, a -mode rejection naming
-// every registered backend.
-func TestArchFlags(t *testing.T) {
-	parse := func(args ...string) (regconn.Arch, error) {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		arch := ArchFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return arch()
+// parseArch parses args through a fresh ArchFlags block.
+func parseArch(t *testing.T, args ...string) (regconn.Arch, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	arch := ArchFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	got, err := parse()
-	want := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32,
-		Mode: regconn.WithRC, Model: core.WriteResetReadUpdate, CombineConnects: true}
-	if err != nil || got != want {
-		t.Errorf("defaults = %+v, %v; want %+v", got, err, want)
-	}
-	got, err = parse("-issue", "8", "-intcore", "24", "-fpcore", "48", "-mode", "chain", "-model", "1")
-	want = regconn.Arch{Issue: 8, LoadLatency: 2, IntCore: 24, FPCore: 48,
-		Mode: regconn.Chain, Model: core.Model(1), CombineConnects: true}
-	if err != nil || got != want {
-		t.Errorf("set flags = %+v, %v; want %+v", got, err, want)
-	}
-	modes := map[string]regconn.RegMode{
+	return arch()
+}
+
+// TestParseMode: -mode maps the five backend names to their modes and
+// rejects any other name with a message naming every registered backend.
+func TestParseMode(t *testing.T) {
+	good := map[string]regconn.RegMode{
 		"rc":         regconn.WithRC,
 		"spill":      regconn.WithoutRC,
 		"unlimited":  regconn.Unlimited,
 		"portreduce": regconn.PortReduce,
 		"chain":      regconn.Chain,
 	}
-	for name, want := range modes {
-		if got, err := parse("-mode", name); err != nil || got.Mode != want {
+	for name, want := range good {
+		if got, err := parseArch(t, "-mode", name); err != nil || got.Mode != want {
 			t.Errorf("-mode %s = %v, %v; want %v", name, got.Mode, err, want)
 		}
 	}
-	for _, name := range backend.Names() {
-		be, err := backend.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := parse("-mode", name); err != nil || got.Mode != be.ID() {
-			t.Errorf("-mode %s = %v, %v; want the registry's %v", name, got.Mode, err, be.ID())
-		}
-	}
-	if _, err := parse("-model", "9"); err == nil {
-		t.Error("-model 9 parsed, want an error")
-	}
 	for _, mode := range []string{"", "RC", "junk", "with-RC"} {
-		_, err := parse("-mode", mode)
+		_, err := parseArch(t, "-mode", mode)
 		if err == nil {
 			t.Errorf("-mode %q parsed, want an error", mode)
 			continue
@@ -91,6 +67,46 @@ func TestArchFlags(t *testing.T) {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("-mode %q error %q does not name backend %q", mode, err, name)
 			}
+		}
+	}
+}
+
+// TestParseBackendMatchesRegistry: -mode accepts exactly the backend
+// registry's names, each resolving to its backend's ID.
+func TestParseBackendMatchesRegistry(t *testing.T) {
+	for _, name := range backend.Names() {
+		be, err := backend.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if be.Name() != name {
+			t.Errorf("backend.ByName(%q) returned backend named %q", name, be.Name())
+		}
+		if got, err := parseArch(t, "-mode", name); err != nil || got.Mode != be.ID() {
+			t.Errorf("-mode %s = %v, %v; want the registry's %v", name, got.Mode, err, be.ID())
+		}
+	}
+}
+
+// TestArchFlags pins the shared flag block: its defaults are the paper's
+// center point with 2-cycle loads and combined connects, set flags land
+// in their fields, and bad -model and -mode values are errors.
+func TestArchFlags(t *testing.T) {
+	got, err := parseArch(t)
+	want := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32,
+		Mode: regconn.WithRC, Model: core.WriteResetReadUpdate, CombineConnects: true}
+	if err != nil || got != want {
+		t.Errorf("defaults = %+v, %v; want %+v", got, err, want)
+	}
+	got, err = parseArch(t, "-issue", "8", "-intcore", "24", "-fpcore", "48", "-mode", "chain", "-model", "1")
+	want = regconn.Arch{Issue: 8, LoadLatency: 2, IntCore: 24, FPCore: 48,
+		Mode: regconn.Chain, Model: core.Model(1), CombineConnects: true}
+	if err != nil || got != want {
+		t.Errorf("set flags = %+v, %v; want %+v", got, err, want)
+	}
+	for _, args := range [][]string{{"-model", "9"}, {"-mode", "junk"}} {
+		if _, err := parseArch(t, args...); err == nil {
+			t.Errorf("%v parsed, want an error", args)
 		}
 	}
 }
