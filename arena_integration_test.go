@@ -24,7 +24,7 @@ func arenaArchs() []Arch {
 }
 
 // TestArenaMatchesFreshRun: for every backend, a run on a reused Arena must
-// be bit-identical to Executable.Run on a fresh machine — same cycles, same
+// be bit-identical to Executable.Verify on a fresh machine — same cycles, same
 // ledger, same telemetry — including when the arena is hopping between
 // executables of different shapes.
 func TestArenaMatchesFreshRun(t *testing.T) {
@@ -43,7 +43,7 @@ func TestArenaMatchesFreshRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", name, err)
 		}
-		fresh, err := ex.Run()
+		fresh, err := ex.Verify()
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", name, err)
 		}
@@ -83,16 +83,17 @@ func TestArenaStatsSurviveReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	arena := NewArena()
-	res, err := arena.Run(exRC)
+	res, err := arena.VerifyContext(ctx, exRC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	saved := res.Stats()
-	if _, err := arena.Run(exSpill); err != nil { // overwrites the arena
+	if _, err := arena.VerifyContext(ctx, exSpill); err != nil { // overwrites the arena
 		t.Fatal(err)
 	}
-	fresh, err := exRC.Run()
+	fresh, err := exRC.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,59 +102,11 @@ func TestArenaStatsSurviveReuse(t *testing.T) {
 	}
 }
 
-// TestArenaRunProcesses: the multiprogrammed path through a reused arena
-// must match the one-shot RunProcesses run for run.
-func TestArenaRunProcesses(t *testing.T) {
-	bm, err := bench.ByName("cmp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch := arenaArchs()[1] // rc
-	exes := make([]*Executable, 2)
-	for i := range exes {
-		ex, err := Build(bm.Build(), arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exes[i] = ex
-	}
-	fresh, err := RunProcesses(exes, 500, FullSave)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := NewArena()
-	// A single-process run first, so the multi path reuses dirty state.
-	if _, err := arena.Run(exes[0]); err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 2; rep++ {
-		got, err := arena.RunProcesses(context.Background(), exes, 500, FullSave)
-		if err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		if got.Switches != fresh.Switches || got.SwitchCycles != fresh.SwitchCycles ||
-			got.Cycles != fresh.Cycles {
-			t.Fatalf("rep %d: scheduler diverges: %d/%d/%d vs %d/%d/%d", rep,
-				got.Switches, got.SwitchCycles, got.Cycles,
-				fresh.Switches, fresh.SwitchCycles, fresh.Cycles)
-		}
-		for p := range exes {
-			a, b := *fresh.Results[p], *got.Results[p]
-			a.Mem, b.Mem = nil, nil
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("rep %d: process %d result diverges", rep, p)
-			}
-		}
-		if !reflect.DeepEqual(fresh.MapInt, got.MapInt) || !reflect.DeepEqual(fresh.MapFP, got.MapFP) {
-			t.Errorf("rep %d: shared map telemetry diverges", rep)
-		}
-	}
-}
-
-// BenchmarkArenaRun times repeated simulation of a prebuilt executable on
-// one arena — the batch-sweep hot path (compare with BenchmarkRunProfilingOff,
-// which reallocates the machine per run). Run under -benchmem this pins the
-// steady-state allocation behavior at the facade level.
+// BenchmarkArenaRun times repeated verified simulation of a prebuilt
+// executable on one arena — the batch-sweep hot path (compare with
+// BenchmarkRunProfilingOff, which reallocates the machine per run). Run
+// under -benchmem this pins the steady-state allocation behavior at the
+// facade level.
 func BenchmarkArenaRun(b *testing.B) {
 	bm, err := bench.ByName("cmp")
 	if err != nil {
@@ -165,14 +118,15 @@ func BenchmarkArenaRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	arena := NewArena()
-	if _, err := arena.Run(ex); err != nil {
+	if _, err := arena.VerifyContext(ctx, ex); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := arena.Run(ex); err != nil {
+		if _, err := arena.VerifyContext(ctx, ex); err != nil {
 			b.Fatal(err)
 		}
 	}

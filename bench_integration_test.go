@@ -67,7 +67,7 @@ func TestProfilingOffHasZeroFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := ex.Run()
+	off, err := ex.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestProfilingOffHasZeroFootprint(t *testing.T) {
 		t.Fatal("profiling-off run allocated per-PC attribution")
 	}
 	ex.Arch.Profile = true
-	on, err := ex.Run()
+	on, err := ex.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func benchmarkRun(b *testing.B, profile bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Run(); err != nil {
+		if _, err := ex.Verify(); err != nil {
 			b.Fatal(err)
 		}
 	}

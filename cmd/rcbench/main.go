@@ -14,7 +14,8 @@
 // timings, but front ends come from exp.RunPoint's process-wide memo, so
 // a timing may reuse front ends the previous one left. It also measures
 // raw simulation throughput in machine instructions per second: the
-// program is built once, then resimulated on a reused run arena, so the
+// program is built once, then resimulated on a reused run arena, each run
+// verified against the interpreter oracle as every sweep point is, so the
 // number reports the steady-state sweep cost (DESIGN.md §13), not
 // compile+allocate cost. The same loop counts heap allocations, and the
 // report records allocs per run and per simulated cycle — the arena
@@ -227,22 +228,20 @@ func measureColdAlloc(r *exp.Runner) (uint64, error) {
 }
 
 // measureSteadyState builds the runner's first benchmark at gateArch,
-// warms a run arena, then resimulates it reps times counting wall time
-// and heap allocations (runtime.MemStats.Mallocs delta). The warm-up run
-// pays the one-time arena growth so the counted reps see the steady state
-// the arena contract promises: zero allocations.
+// warms a run arena, then resimulates and verifies it reps times counting
+// wall time and heap allocations (runtime.MemStats.Mallocs delta). The
+// warm-up run pays the one-time arena growth so the counted reps see the
+// steady state the arena contract promises: zero allocations.
 func measureSteadyState(r *exp.Runner, reps int) (steadyState, error) {
 	bm := r.Benchmarks[0]
 	ex, err := regconn.Build(bm.Build(), gateArch)
 	if err != nil {
 		return steadyState{}, err
 	}
+	ctx := context.Background()
 	arena := regconn.NewArena()
-	res, err := arena.Run(ex)
+	res, err := arena.VerifyContext(ctx, ex)
 	if err != nil {
-		return steadyState{}, err
-	}
-	if err := res.CheckLedger(); err != nil {
 		return steadyState{}, err
 	}
 	out := steadyState{bench: bm.Name, reps: reps, stats: res.Stats()}
@@ -257,7 +256,7 @@ func measureSteadyState(r *exp.Runner, reps int) (steadyState, error) {
 	start := time.Now()
 	total := int64(0)
 	for i := 0; i < reps; i++ {
-		res, err := arena.Run(ex)
+		res, err := arena.VerifyContext(ctx, ex)
 		if err != nil {
 			return steadyState{}, err
 		}

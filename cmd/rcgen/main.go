@@ -191,10 +191,12 @@ func replay(args []string) error {
 }
 
 // smoke is the bounded CI gate: every profile × the first N seeds is
-// generated, interpreter-pinned, and run under a small backend matrix as
-// an experiment point (exp.RunPoint: build, map-state check, simulation,
-// oracle, checksum and cycle ledger), then round-tripped through the
-// trace format with a verified replay. It is what make verify runs.
+// generated, interpreter-pinned, and run under a small backend matrix,
+// every point checked for its answer (the front-end memo), map state,
+// oracle and cycle ledger. The spill point is an experiment point
+// (exp.RunPoint); the RC point is built once, and its verified run is
+// recorded as a trace and round-tripped through the trace format with a
+// verified replay. It is what make verify runs.
 func smoke(args []string) error {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
 	seeds := fs.Int64("seeds", 3, "seeds per profile")
@@ -205,10 +207,9 @@ func smoke(args []string) error {
 	if *profilesFlag != "" {
 		profiles = strings.Split(*profilesFlag, ",")
 	}
-	archs := []regconn.Arch{
-		{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32, Mode: regconn.WithRC, CombineConnects: true, Verify: true},
-		{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32, Mode: regconn.WithoutRC, Verify: true},
-	}
+	rc := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32, Mode: regconn.WithRC, CombineConnects: true, Verify: true}
+	spill := regconn.Arch{Issue: 4, LoadLatency: 2, IntCore: 16, FPCore: 32, Mode: regconn.WithoutRC, Verify: true}
+	ctx := context.Background()
 	points := 0
 	for _, p := range profiles {
 		for seed := int64(0); seed < *seeds; seed++ {
@@ -217,23 +218,16 @@ func smoke(args []string) error {
 			if err != nil {
 				return err
 			}
-			for _, a := range archs {
-				if _, err := exp.RunPoint(context.Background(), bm, a); err != nil {
-					return fmt.Errorf("%s backend: %w", a.Mode, err)
-				}
-				points++
-			}
-			// Round-trip the RC point through the trace format: encode,
-			// decode, replay — which re-verifies the recorded oracle
-			// outcome and the bit-exact cycle count. The build reuses the
-			// front end RunPoint just compiled.
-			ex, err := exp.Build(context.Background(), bm, archs[0])
+			// Trace runs the RC point once, verified; the round trip
+			// (encode, decode, replay) re-verifies the recorded oracle
+			// outcome and the bit-exact cycle count.
+			ex, err := exp.Build(ctx, bm, rc)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s backend: %s: %w", rc.Mode, bm.Name, err)
 			}
 			tr, err := ex.Trace(bm.Name)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s backend: %w", rc.Mode, err)
 			}
 			var buf strings.Builder
 			if _, err := tr.Encode(&buf); err != nil {
@@ -243,9 +237,13 @@ func smoke(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: trace round-trip: %w", bm.Name, err)
 			}
-			if _, err := dt.Replay(context.Background()); err != nil {
+			if _, err := dt.Replay(ctx); err != nil {
 				return fmt.Errorf("%s: trace replay: %w", bm.Name, err)
 			}
+			if _, err := exp.RunPoint(ctx, bm, spill); err != nil {
+				return fmt.Errorf("%s backend: %w", spill.Mode, err)
+			}
+			points += 2
 		}
 	}
 	fmt.Printf("rcgen smoke: %d profiles x %d seeds, %d simulated points, oracle+ledger+trace-replay all green\n",

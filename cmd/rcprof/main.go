@@ -2,8 +2,9 @@
 // with per-PC cycle attribution enabled and reports where the cycles went
 // — hottest static instructions, basic blocks, per-function stall tables,
 // and connect overhead per virtual register — every number provably
-// summing back to the run's cycle ledger (the cross-check runs before any
-// report is printed).
+// summing back to the run's cycle ledger (the simulator refuses a run
+// whose attribution does not, and every profiled run is verified against
+// the interpreter oracle).
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 //	       [-connect-latency 0] [-no-combine] [-scalar] [-top 20]
 //	rcprof -bench grep -models              connect overhead across the 4 reset models
 //	rcprof -bench grep -trace-json t.json   Chrome trace-event export (chrome://tracing)
-//	rcprof -grid [-workers n]               profile + cross-check the 48-point golden grid
+//	rcprof -grid [-workers n]               profile the 48-point golden grid
 //
 // -grid sweeps every benchmark × ledger configuration of the golden grid
 // with profiling on and fails loudly if any point's per-PC attribution
@@ -112,7 +113,7 @@ func run() error {
 		return nil
 	}
 
-	res, err := ex.Run()
+	res, err := ex.Verify()
 	if err != nil {
 		return err
 	}
@@ -138,15 +139,12 @@ func compareModels(bm bench.Benchmark, arch regconn.Arch) error {
 		if err != nil {
 			return fmt.Errorf("model %d: %w", m, err)
 		}
-		res, err := ex.Run()
+		res, err := ex.Verify()
 		if err != nil {
 			return fmt.Errorf("model %d: %w", m, err)
 		}
 		p, err := prof.New(ex.Image, res)
 		if err != nil {
-			return fmt.Errorf("model %d: %w", m, err)
-		}
-		if err := p.CrossCheck(); err != nil {
 			return fmt.Errorf("model %d: %w", m, err)
 		}
 		co := p.ConnectOverhead()
@@ -158,8 +156,9 @@ func compareModels(bm bench.Benchmark, arch regconn.Arch) error {
 	return tw.Flush()
 }
 
-// runGrid profiles every golden benchmark×config point and verifies the
-// per-PC attribution sums bit-exactly to the ledger buckets on each.
+// runGrid profiles every golden benchmark×config point; the simulator
+// checks on each that the per-PC attribution sums bit-exactly to the
+// ledger buckets.
 func runGrid(quick bool, workers int) error {
 	benches := bench.All()
 	if quick {
@@ -199,8 +198,7 @@ func runGrid(quick bool, workers int) error {
 }
 
 // gridPoint builds one grid point through the front-end memo, profiles a
-// verified run of it, cross-checks the attribution and returns its report
-// line.
+// verified run of it and returns its report line.
 func gridPoint(bm bench.Benchmark, lc exp.LedgerConfig) (string, error) {
 	a := lc.Arch
 	a.Profile = true
@@ -215,9 +213,6 @@ func gridPoint(bm bench.Benchmark, lc exp.LedgerConfig) (string, error) {
 	p, err := prof.New(ex.Image, res)
 	if err != nil {
 		return "", err
-	}
-	if err := p.CrossCheck(); err != nil {
-		return "", fmt.Errorf("attribution does not match ledger: %w", err)
 	}
 	return fmt.Sprintf("ok %-10s %-14s cycles=%-9d connects=%-7d connect-cycles=%d",
 		bm.Name, lc.Name, res.Cycles, res.Connects, p.ConnectOverhead().Cycles), nil

@@ -151,9 +151,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := res.CheckLedger(); err != nil {
-		return err
-	}
 
 	if *stats {
 		out := struct {

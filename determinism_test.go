@@ -39,8 +39,8 @@ func TestBuildIsDeterministic(t *testing.T) {
 		// Cycle counts must agree as well.
 		ex1, _ := Build(bm.Build(), arch)
 		ex2, _ := Build(bm.Build(), arch)
-		r1, err1 := ex1.Run()
-		r2, err2 := ex2.Run()
+		r1, err1 := ex1.Verify()
+		r2, err2 := ex2.Verify()
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

@@ -193,7 +193,7 @@ func archMatrix() []Arch {
 			for _, issue := range []int{1, 4} {
 				out = append(out, Arch{
 					Issue: issue, LoadLatency: 2,
-					IntCore: m, FPCore: maxInt(m, 16),
+					IntCore: m, FPCore: max(m, 16),
 					Mode: mode, CombineConnects: true,
 				})
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -213,7 +214,15 @@ func TestRunnerMemoizes(t *testing.T) {
 func TestRunRejectsBadChecksum(t *testing.T) {
 	r := NewRunner()
 	bad := bench.Benchmark{Name: "bad", Paper: "x", Build: r.Benchmarks[0].Build, Expect: -1}
-	if _, err := r.Run(bad, regconn.Baseline()); err == nil {
-		t.Error("expected checksum mismatch error")
+	if _, err := r.Run(bad, regconn.Baseline()); err == nil || !strings.Contains(err.Error(), "bad: checksum") {
+		t.Errorf("Run: err = %v, want a checksum mismatch", err)
+	}
+	// The answer is checked where the front end is compiled, so every
+	// build from the memo checks it, and a failed front end is never
+	// stored: each build compiles and fails afresh.
+	for i := 0; i < 2; i++ {
+		if _, err := Build(context.Background(), bad, regconn.Baseline()); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("Build %d: err = %v, want a checksum mismatch", i, err)
+		}
 	}
 }

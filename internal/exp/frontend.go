@@ -15,9 +15,13 @@ import (
 // program that differ only in their back end — the five backends of a
 // sweep at one issue rate — compile its front end once and build their
 // back ends from it. Concurrent points needing one front end share one
-// compile through a flight. A failed compile is never stored, so the next
-// point recompiles and reports the same error. At the bound the least
-// recently used entry is evicted. It is safe for concurrent use.
+// compile through a flight. Each compile is checked once against the
+// benchmark's known answer: the optimized program's interpreter run, the
+// oracle every run built from it is verified against, must return
+// bm.Expect (else the error reads "checksum X, want Y"). A failed compile
+// or check is never stored, so the next point recompiles and reports the
+// same error. At the bound the least recently used entry is evicted. It
+// is safe for concurrent use.
 //
 // Within one process, a benchmark's canonical name must identify the
 // program its Build returns, as the Runner memo, serve.Key and the result
@@ -70,6 +74,9 @@ func (m *Frontends) frontend(ctx context.Context, bm bench.Benchmark, arch regco
 		fe, err := regconn.NewFrontend(bm.Build(), arch)
 		if err != nil {
 			return compiled{}, err
+		}
+		if fe.Golden.Ret != bm.Expect {
+			return compiled{}, fmt.Errorf("checksum %d, want %d", fe.Golden.Ret, bm.Expect)
 		}
 		m.cache.Put(key, fe)
 		return compiled{fe, true}, nil

@@ -48,7 +48,7 @@ func collectGolden(t *testing.T) []goldenPoint {
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", bm.Name, gc.Name, err)
 			}
-			res, err := ex.Run()
+			res, err := ex.Verify()
 			if err != nil {
 				t.Fatalf("%s/%s: run: %v", bm.Name, gc.Name, err)
 			}

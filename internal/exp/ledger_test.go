@@ -29,7 +29,7 @@ func TestLedgerClosesOnGoldenGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := ex.Run()
+				res, err := ex.Verify()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,7 +14,7 @@ import (
 // TestAttributionMatchesLedgerOnGoldenGrid profiles every golden
 // benchmark×config point and proves two things per point: the per-PC
 // attribution columns sum bit-exactly to the run's ledger buckets
-// (prof.CrossCheck), and enabling profiling leaves the simulation
+// (PCProf.CheckAgainst), and enabling profiling leaves the simulation
 // bit-identical to the recorded profiling-off golden behaviour — the
 // observability layer observes, it never perturbs.
 func TestAttributionMatchesLedgerOnGoldenGrid(t *testing.T) {
@@ -46,18 +46,14 @@ func TestAttributionMatchesLedgerOnGoldenGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				res, err := ex.Run()
+				res, err := ex.Verify()
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
 				if res.Prof == nil {
 					t.Fatal("profiled run carries no per-PC attribution")
 				}
-				p, err := prof.New(ex.Image, res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := p.CrossCheck(); err != nil {
+				if err := res.Prof.CheckAgainst(res); err != nil {
 					t.Errorf("attribution does not sum to ledger: %v", err)
 				}
 				w, ok := want[bm.Name+"/"+gc.Name]
@@ -91,7 +87,7 @@ func TestProfReportRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Run()
+	res, err := ex.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}

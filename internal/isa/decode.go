@@ -10,9 +10,8 @@ type Decoded struct {
 	Op   Op
 	Kind Kind
 
-	// Classification flags, copied from Meta for single-load access.
-	Mem     bool
-	Connect bool
+	// Mem is Meta's memory-channel flag, copied for single-load access.
+	Mem bool
 
 	// Operand slots, as in Instr.
 	Dst  Reg // invalid when the op defines nothing
@@ -41,18 +40,17 @@ type Decoded struct {
 func (in *Instr) Decode() Decoded {
 	m := in.Op.Meta()
 	d := Decoded{
-		Op:      in.Op,
-		Kind:    m.Kind,
-		Mem:     m.Mem,
-		Connect: m.Connect,
-		Dst:     in.Def(),
-		A:       in.A,
-		B:       in.B,
-		CClass:  in.CClass,
-		Imm:     in.Imm,
-		UseImm:  in.UseImm,
-		Target:  in.Target,
-		Pred:    in.Pred,
+		Op:     in.Op,
+		Kind:   m.Kind,
+		Mem:    m.Mem,
+		Dst:    in.Def(),
+		A:      in.A,
+		B:      in.B,
+		CClass: in.CClass,
+		Imm:    in.Imm,
+		UseImm: in.UseImm,
+		Target: in.Target,
+		Pred:   in.Pred,
 	}
 	if in.Op == FMOVI {
 		d.FI = in.FImm()

@@ -54,8 +54,8 @@ func TestDecodeRoundTrip(t *testing.T) {
 		if d.Op != in.Op || d.Kind != in.Op.Kind() {
 			t.Errorf("%v: op/kind mismatch: %+v", in.Op, d)
 		}
-		if d.Mem != in.Op.IsMem() || d.Connect != in.Op.IsConnect() {
-			t.Errorf("%v: flags mismatch mem=%v connect=%v", in.Op, d.Mem, d.Connect)
+		if d.Mem != in.Op.IsMem() {
+			t.Errorf("%v: flag mismatch mem=%v", in.Op, d.Mem)
 		}
 		if d.Dst != in.Def() {
 			t.Errorf("%v: def %v, want %v", in.Op, d.Dst, in.Def())

@@ -152,9 +152,12 @@ func (m *Machine) Run() (*Result, error) {
 
 // RunContext executes the image prepared by the last Reset to completion
 // (HALT), cancellation, or the cycle limit. Each Reset admits exactly one
-// run. The returned Result and its memory image alias the arena and are
-// valid until the next Reset; copy (e.g. via Result.Stats) anything that
-// must outlive it.
+// run. A run that halts is returned only once its cycle ledger closes
+// (Result.CheckLedger) and, under a PCProf probe, its per-PC attribution
+// sums to the ledger (PCProf.CheckAgainst): every single-process entry
+// point ends here, so no caller can skip the check. The returned Result
+// and its memory image alias the arena and are valid until the next
+// Reset; copy (e.g. via Result.Stats) anything that must outlive it.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	if !m.armed {
 		return nil, errNotReset
@@ -174,6 +177,14 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	s.tabF.StatsInto(&s.statF)
 	s.res.MapInt = s.statI
 	s.res.MapFP = s.statF
+	if err := s.res.CheckLedger(); err != nil {
+		return nil, err
+	}
+	if s.res.Prof != nil {
+		if err := s.res.Prof.CheckAgainst(s.res); err != nil {
+			return nil, err
+		}
+	}
 	return s.res, nil
 }
 

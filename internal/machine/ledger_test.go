@@ -47,6 +47,30 @@ func TestStallBranchCountsPenalty(t *testing.T) {
 	}
 }
 
+// TestCheckAgainstCatchesDrift: a profiled run's per-PC columns sum to
+// their ledger buckets, and drift between any column and its bucket is
+// caught and named.
+func TestCheckAgainstCatchesDrift(t *testing.T) {
+	c := DefaultConfig()
+	c.Probe = new(PCProf)
+	res := run(t, asm(mispredictProg()...), c)
+	p := res.Prof
+	if err := p.CheckAgainst(res); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	for name, col := range map[string][]int64{
+		"instrs": p.Instrs, "issue-cycles": p.IssueCycles, "stall-data": p.StallData,
+		"stall-mem": p.StallMem, "stall-connect": p.StallConn, "stall-branch": p.StallBranch,
+		"trap-overhead": p.TrapOverhead, "halt": p.Halt,
+	} {
+		col[1]++
+		if err := p.CheckAgainst(res); err == nil || !strings.Contains(err.Error(), " "+name+" ") {
+			t.Errorf("a corrupted %s column: err = %v", name, err)
+		}
+		col[1]--
+	}
+}
+
 // TestIssueHistogram pins the per-cycle issue-slot utilization: four
 // independent MOVIs at 4-issue fill one cycle completely, and the HALT
 // fetch occupies a final zero-issue cycle attributed to HaltCycles.

@@ -51,7 +51,7 @@ type MultiResult struct {
 
 // CheckLedger verifies the global cycle ledger: the final clock equals
 // each process's own active cycles plus the context-switch overhead, and
-// every per-process ledger closes.
+// every per-process ledger closes. Every multiprogrammed run ends with it.
 func (m *MultiResult) CheckLedger() error {
 	var active int64
 	for i, r := range m.Results {
@@ -186,5 +186,8 @@ func (m *Machine) runMultiprogrammed(imgs []*Image, cfg Config, quantum int64, m
 	out.Cycles = clock
 	out.MapInt = tabI.Stats()
 	out.MapFP = tabF.Stats()
+	if err := out.CheckLedger(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }

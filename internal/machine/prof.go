@@ -16,8 +16,9 @@ package machine
 //   - the final no-issue HALT fetch charges Halt at the HALT's PC.
 //
 // CheckAgainst proves the per-PC columns sum bit-exactly back to the
-// ledger buckets, so attribution can never silently drift from PR 2's
-// accounting (see DESIGN.md §10).
+// ledger buckets, and Machine.RunContext runs it at the end of every
+// profiled run, so attribution can never silently drift from the ledger
+// (see DESIGN.md §10).
 
 import (
 	"errors"
@@ -102,7 +103,8 @@ func sum(xs []int64) int64 {
 // cycles, each stall column to its stall counter, branch penalties to
 // StallBranch, trap overhead to TrapOverheads, and halt to HaltCycles.
 // Together with Result.CheckLedger this proves per-PC attribution is a
-// partition refinement of ActiveCycles.
+// partition refinement of ActiveCycles; Machine.RunContext checks both
+// before it returns a profiled run.
 func (p *PCProf) CheckAgainst(r *Result) error {
 	if r.IssueHist == nil {
 		return errors.New("machine: result has no issue histogram")

@@ -295,6 +295,9 @@ type Result struct {
 // penalty, and trap overhead must sum to ActiveCycles; zero-issue cycles
 // must be fully explained by the three stall reasons plus the halt cycle;
 // and the issue histogram must account for every issued instruction.
+// Machine.RunContext ends every single-process run with it (and
+// MultiResult.CheckLedger every multiprogrammed one), so a run that
+// returns a Result has passed it.
 func (r *Result) CheckLedger() error {
 	if r.IssueHist == nil {
 		return errors.New("machine: result has no issue histogram")
@@ -560,6 +563,11 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 				if s.probe != nil {
 					s.probe.Event(Event{Kind: EvHalt, Cycle: issueCycle, PC: int32(s.pc), Slot: uint8(issued), Proc: s.proc})
 				}
+				// Connects and memory operations are op-mix classes
+				// (isa.Meta's Connect and Mem flags), read off once here
+				// rather than counted per instruction.
+				s.res.Connects = s.res.OpMix[isa.KindConnect]
+				s.res.MemOps = s.res.OpMix[isa.KindLoad] + s.res.OpMix[isa.KindStore]
 				s.cycle = cycle + 1
 				s.res.Cycles = s.cycle
 				return true, nil
@@ -592,10 +600,6 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 			}
 			if u.Mem {
 				memUsed++
-				s.res.MemOps++
-			}
-			if u.Connect {
-				s.res.Connects++
 			}
 			if u.chainOut {
 				s.res.ChainPairs++

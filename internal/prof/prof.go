@@ -3,10 +3,9 @@
 // basic blocks, and the virtual registers whose accesses forced connect
 // traffic — and renders the rcprof reports. Collection happens inside the
 // issue engine (internal/machine charges each cycle as the ledger accounts
-// for it); this package is pure analysis over a finished (Image, Result)
-// pair, so it can cross-check the attribution against the run's cycle
-// ledger and prove the profile is a lossless refinement of the aggregate
-// accounting (CrossCheck).
+// for it, and refuses a run whose per-PC columns do not sum to its ledger
+// buckets); this package is pure analysis over a finished (Image, Result)
+// pair.
 package prof
 
 import (
@@ -68,15 +67,6 @@ func New(img *machine.Image, res *machine.Result) (*Profile, error) {
 		return nil, fmt.Errorf("prof: functions cover %d instructions, image has %d", off, len(img.Code))
 	}
 	return p, nil
-}
-
-// CrossCheck verifies the aggregate ledger closes AND that every per-PC
-// attribution column sums bit-exactly to its ledger bucket.
-func (p *Profile) CrossCheck() error {
-	if err := p.Res.CheckLedger(); err != nil {
-		return err
-	}
-	return p.PC.CheckAgainst(p.Res)
 }
 
 // FuncOf returns the function span containing pc.

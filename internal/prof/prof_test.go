@@ -74,28 +74,6 @@ func TestNewRequiresAttribution(t *testing.T) {
 	}
 }
 
-func TestCrossCheck(t *testing.T) {
-	img, res := fixture(t)
-	p, err := New(img, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CrossCheck(); err != nil {
-		t.Fatalf("cross-check failed on a clean run: %v", err)
-	}
-	// Any drift between the per-PC counters and the ledger must be caught.
-	res.Prof.Instrs[0]++
-	if err := p.CrossCheck(); err == nil {
-		t.Error("cross-check missed a corrupted instruction counter")
-	}
-	res.Prof.Instrs[0]--
-	res.Prof.StallData[3]++
-	if err := p.CrossCheck(); err == nil {
-		t.Error("cross-check missed a corrupted stall counter")
-	}
-	res.Prof.StallData[3]--
-}
-
 func TestRollupsPartitionCycles(t *testing.T) {
 	img, res := fixture(t)
 	p, err := New(img, res)

@@ -19,9 +19,6 @@ func pct(x, total int64) string {
 // connect-overhead-by-vreg table. The output is deterministic for a
 // deterministic run (golden-tested).
 func (p *Profile) WriteReport(w io.Writer, topN int) error {
-	if err := p.CrossCheck(); err != nil {
-		return fmt.Errorf("prof: refusing to report unverified attribution: %w", err)
-	}
 	r := p.Res
 	var issueCycles int64
 	for k, c := range r.IssueHist {

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"mime"
 	"net/http"
@@ -593,7 +594,8 @@ const (
 // On failure it answers 413 for an oversized body and 400 for a malformed
 // one, and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	upload := http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(upload).Decode(v)
 	if err == nil {
 		return true
 	}
@@ -602,6 +604,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
+	// Read the rest of the body, up to its cap, so a client still
+	// uploading reads the reply: net/http discards at most 256 KiB of an
+	// unread body and otherwise closes the connection mid-upload. Reading
+	// stops at the cap, so an oversized body is never drained.
+	io.Copy(io.Discard, upload)
 	writeError(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 	return false
 }
@@ -652,13 +659,15 @@ const maxReplayBody = workload.MaxTracePayload + 4096
 // handleReplay serves POST /v1/replay: the body is an rctrace file
 // (rcrun -emit-trace / rcgen emit), replayed through the simulator
 // without re-entering the IR pipeline. Malformed, corrupt, or truncated
-// traces are a structured 400; a valid trace is keyed by its payload
-// checksum and served through the same LRU/store/flight stack as any
-// other point, so repeated replays of one trace are warm byte-identical
-// hits.
+// traces are a structured 400, sent once the rest of the body is read; a
+// valid trace is keyed by its payload checksum and served through the
+// same LRU/store/flight stack as any other point, so repeated replays of
+// one trace are warm byte-identical hits.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	tr, key, err := workload.DecodeTrace(http.MaxBytesReader(w, r.Body, maxReplayBody))
+	upload := http.MaxBytesReader(w, r.Body, maxReplayBody)
+	tr, key, err := workload.DecodeTrace(upload)
 	if err != nil {
+		io.Copy(io.Discard, upload) // drained as in decodeBody
 		writeError(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}

@@ -785,6 +785,8 @@ func TestRequestBounds(t *testing.T) {
 	for _, c := range append([]tc{
 		{"run body over cap", "/v1/run", padded(maxRunBody, run), http.StatusRequestEntityTooLarge},
 		{"sweep body over cap", "/v1/sweep", padded(maxSweepBody, sweep), http.StatusRequestEntityTooLarge},
+		// Malformed at its second byte, with 1 MiB still to upload.
+		{"malformed sweep body", "/v1/sweep", append([]byte("{]"), bytes.Repeat([]byte(" "), 1<<20)...), http.StatusBadRequest},
 		{"cross product over point cap", "/v1/sweep",
 			mustJSON(SweepRequest{Benchmarks: []string{"matrix300", "cmp"}, Archs: crossArchs}), http.StatusBadRequest},
 		{"explicit points over cap", "/v1/sweep", mustJSON(SweepRequest{Points: explicit}), http.StatusBadRequest},
@@ -800,6 +802,14 @@ func TestRequestBounds(t *testing.T) {
 			var eb errorBody
 			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 				t.Fatalf("expected structured error body, got %.200s (err %v)", body, err)
+			}
+			// A malformed body under its cap is read to the end before
+			// the 400, so the connection stays open.
+			if c.status == http.StatusBadRequest && resp.Close {
+				t.Error("connection closed after the 400: the body was not drained")
+			}
+			if resp, body := postRaw(t, srv, "/v1/run", "application/json", run); resp.StatusCode != http.StatusOK {
+				t.Fatalf("run after the rejection: status %d: %.200s", resp.StatusCode, body)
 			}
 		})
 	}

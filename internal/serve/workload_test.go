@@ -254,6 +254,13 @@ func TestReplayEndpoint(t *testing.T) {
 	}
 
 	headerLen := bytes.IndexByte(raw, '\n') + 1
+	// behindClaim is an upload of n bytes whose header alone is refused:
+	// it claims a 256 MiB payload, past MaxTracePayload.
+	behindClaim := func(n int) []byte {
+		b := make([]byte, n)
+		copy(b, fmt.Sprintf("rctrace 1 %d %s\n", 256<<20, strings.Repeat("0", 64)))
+		return b
+	}
 	bad := []struct {
 		name string
 		data []byte
@@ -296,6 +303,12 @@ func TestReplayEndpoint(t *testing.T) {
 		// One byte past the payload cap is refused by its header alone.
 		{"payload length past the cap", []byte(fmt.Sprintf("rctrace 1 %d %s\n",
 			workload.MaxTracePayload+1, strings.Repeat("0", 64)))},
+		// Refused by the header with the body still arriving: net/http
+		// discards at most 256 KiB of an unread body, so an undrained
+		// upload this long closed the connection after (or instead of)
+		// the 400.
+		{"300 KiB behind a 256 MiB claim", behindClaim(300 << 10)},
+		{"2 MiB behind a 256 MiB claim", behindClaim(2 << 20)},
 	}
 	for _, c := range bad {
 		c := c
@@ -307,6 +320,14 @@ func TestReplayEndpoint(t *testing.T) {
 			var eb errorBody
 			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 				t.Fatalf("expected structured error body, got %s (err %v)", body, err)
+			}
+			// Every body is under the cap, so the handler reads it to the
+			// end before answering and the connection stays open.
+			if resp.Close {
+				t.Error("connection closed after the 400: the upload was not drained")
+			}
+			if resp, body := postRaw(t, srv, "/v1/replay", "application/octet-stream", raw); resp.StatusCode != http.StatusOK {
+				t.Fatalf("replay after the rejection: status %d: %s", resp.StatusCode, body)
 			}
 		})
 	}

@@ -6,8 +6,11 @@
 //	connect insertion → list scheduling → execution-driven simulation —
 //
 // behind two calls: Build compiles a program for an architecture
-// configuration, and Executable.Run simulates it. See DESIGN.md for the
-// system inventory and EXPERIMENTS.md for the reproduced results.
+// configuration, and Executable.Verify simulates it and checks the run
+// against the interpreter oracle. Every single-process run is checked
+// that way, and the simulator checks every run's cycle ledger. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// reproduced results.
 package regconn
 
 import (
@@ -123,7 +126,7 @@ type Arch struct {
 	// Result carries a machine.PCProf that internal/prof rolls up to
 	// functions, basic blocks, and virtual registers (cmd/rcprof). It has
 	// no effect on simulated timing or architectural results. It applies
-	// to Run, Verify and Arena runs; RunProcesses rejects it.
+	// to Verify and Arena runs; RunProcesses rejects it.
 	Profile bool
 
 	// MemSize is the simulated memory image size in bytes (0 = the
@@ -507,7 +510,7 @@ func (e *Executable) MapCheck() []mapcheck.Violation {
 
 // machineConfig translates the architecture into the simulator's
 // configuration — the single point where the Arch → machine.Config mapping
-// lives, shared by Run, RunWithTrace, RunWithEvents, and RunProcesses.
+// lives, shared by every run and by Trace.
 func (e *Executable) machineConfig() machine.Config {
 	a := e.Arch
 	lat := isa.DefaultLatencies(a.LoadLatency)
@@ -519,7 +522,7 @@ func (e *Executable) machineConfig() machine.Config {
 		MemChannels:      a.MemChannels,
 		Lat:              lat,
 		Trap:             trap,
-		IntCore:          maxInt(a.IntCore, 0),
+		IntCore:          max(a.IntCore, 0),
 		IntTotal:         e.machineIntTotal,
 		FPCore:           a.FPCore,
 		FPTotal:          e.machineFPTotal,
@@ -544,20 +547,7 @@ func (e *Executable) runConfig() machine.Config {
 	return cfg
 }
 
-// Run simulates the executable and returns the machine result.
-func (e *Executable) Run() (*machine.Result, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext simulates the executable under ctx: cancellation or deadline
-// expiry stops the cycle loop within machine.RunContext's poll stride and
-// surfaces as an error wrapping both machine.ErrCanceled and the context's
-// own error.
-func (e *Executable) RunContext(ctx context.Context) (*machine.Result, error) {
-	return machine.RunContext(ctx, e.Image, e.runConfig())
-}
-
-// RunWithTrace simulates with a per-cycle issue trace written to w for the
+// RunWithTrace is Verify with a per-cycle issue trace written to w for the
 // first cycles cycles (0 = unlimited); see machine.TextTrace. The trace is
 // the run's only observer, so Arch.Profile does not apply.
 func (e *Executable) RunWithTrace(w io.Writer, cycles int64) (*machine.Result, error) {
@@ -565,10 +555,10 @@ func (e *Executable) RunWithTrace(w io.Writer, cycles int64) (*machine.Result, e
 	cfg := e.machineConfig()
 	cfg.Probe = tt
 	res, err := machine.Run(e.Image, cfg)
-	return res, tt.Close(err)
+	return e.verified(res, tt.Close(err))
 }
 
-// RunWithEvents simulates with the structured event trace enabled: the
+// RunWithEvents is Verify with the structured event trace enabled: the
 // pipeline records issues, stalls, connects, map resets, and traps into
 // ring (most recent window when the ring fills). Render the result with
 // ring.WriteTraceJSON for chrome://tracing / Perfetto. The ring is the
@@ -576,7 +566,7 @@ func (e *Executable) RunWithTrace(w io.Writer, cycles int64) (*machine.Result, e
 func (e *Executable) RunWithEvents(ring *machine.EventRing) (*machine.Result, error) {
 	cfg := e.machineConfig()
 	cfg.Probe = ring
-	return machine.Run(e.Image, cfg)
+	return e.verified(machine.Run(e.Image, cfg))
 }
 
 // MultiResult reports a multiprogrammed run (see RunProcesses).
@@ -590,39 +580,30 @@ const (
 	CoreOnlySave = machine.CoreOnlySave
 )
 
-// processImages validates that the executables target one architecture and
-// returns their images with the shared machine configuration — the common
-// preparation of RunProcesses and Arena.RunProcesses.
-func processImages(exes []*Executable) ([]*machine.Image, machine.Config, error) {
+// RunProcesses time-shares the executables on one machine with the given
+// quantum, context-switching under the chosen save mode. All executables
+// must target the same architecture (the first one's machine configuration
+// is used). It is the one run door without the oracle check: under
+// CoreOnlySave, RC-extended processes are meant to come back corrupted.
+// The simulator still checks the run's cycle ledger.
+func RunProcesses(exes []*Executable, quantum int64, mode machine.SaveMode) (*MultiResult, error) {
 	if len(exes) == 0 {
-		return nil, machine.Config{}, fmt.Errorf("regconn: no processes")
+		return nil, fmt.Errorf("regconn: no processes")
 	}
 	imgs := make([]*machine.Image, len(exes))
 	for i, e := range exes {
 		if e.Arch.Profile {
-			return nil, machine.Config{}, fmt.Errorf("regconn: process %d: Arch.Profile profiles single-process runs only", i)
+			return nil, fmt.Errorf("regconn: process %d: Arch.Profile profiles single-process runs only", i)
 		}
 		if e.Arch.Issue != exes[0].Arch.Issue || e.Arch.IntCore != exes[0].Arch.IntCore ||
 			e.Arch.FPCore != exes[0].Arch.FPCore {
-			return nil, machine.Config{}, fmt.Errorf("regconn: process %d targets a different architecture", i)
+			return nil, fmt.Errorf("regconn: process %d targets a different architecture", i)
 		}
 		imgs[i] = e.Image
 	}
 	cfg := exes[0].machineConfig()
 	// The quantum-driven switch machinery replaces the trap model.
 	cfg.Trap = machine.TrapConfig{}
-	return imgs, cfg, nil
-}
-
-// RunProcesses time-shares the executables on one machine with the given
-// quantum, context-switching under the chosen save mode. All executables
-// must target the same architecture (the first one's machine configuration
-// is used).
-func RunProcesses(exes []*Executable, quantum int64, mode machine.SaveMode) (*MultiResult, error) {
-	imgs, cfg, err := processImages(exes)
-	if err != nil {
-		return nil, err
-	}
 	return machine.RunMultiprogrammed(imgs, cfg, quantum, mode)
 }
 
@@ -633,42 +614,44 @@ func (e *Executable) Verify() (*machine.Result, error) {
 	return e.VerifyContext(context.Background())
 }
 
-// VerifyContext is Verify under a cancelable context (see RunContext).
+// VerifyContext is Verify under ctx: cancellation or deadline expiry stops
+// the cycle loop within machine.RunContext's poll stride and surfaces as
+// an error wrapping both machine.ErrCanceled and the context's own error.
 func (e *Executable) VerifyContext(ctx context.Context) (*machine.Result, error) {
-	res, err := e.RunContext(ctx)
+	return e.verified(machine.RunContext(ctx, e.Image, e.runConfig()))
+}
+
+// verified ends every single-process run: it returns the run's result only
+// once the result matches the interpreter oracle (main's return value and
+// the global data section, exactly). The simulator has already checked
+// the run's cycle ledger.
+func (e *Executable) verified(res *machine.Result, err error) (*machine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res, e.checkOracle(res)
-}
-
-// checkOracle compares a machine result against the interpreter oracle:
-// main's return value and the final contents of the global data section
-// must match exactly. Shared by the one-shot and arena verify paths.
-func (e *Executable) checkOracle(res *machine.Result) error {
 	if res.RetInt != e.Golden.Ret {
-		return fmt.Errorf("regconn: result mismatch: machine %d, interpreter %d", res.RetInt, e.Golden.Ret)
+		return nil, fmt.Errorf("regconn: result mismatch: machine %d, interpreter %d", res.RetInt, e.Golden.Ret)
 	}
 	p := e.MProg.IR
 	end := e.Golden.Layout.DataEnd(p)
 	for addr := int64(mem.GlobalBase); addr < end; addr += 8 {
 		if got, want := res.Mem.LoadI(addr), e.Golden.Mem.LoadI(addr); got != want {
-			return fmt.Errorf("regconn: memory mismatch at %#x: machine %d, interpreter %d", addr, got, want)
+			return nil, fmt.Errorf("regconn: memory mismatch at %#x: machine %d, interpreter %d", addr, got, want)
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // Arena is a reusable simulation arena: it wraps a machine.Machine so that
 // running many executables — a sweep of architecture points over one
 // benchmark, or many benchmarks back to back — reuses one set of simulator
-// allocations instead of paying them per run. Build once, then run the
+// allocations instead of paying them per run. Build once, then verify the
 // executables through the arena:
 //
 //	arena := regconn.NewArena()
 //	for _, e := range exes {
-//		res, err := arena.Run(e)
-//		// use res before the next arena.Run / copy via res.Stats()
+//		res, err := arena.VerifyContext(ctx, e)
+//		// use res before the next run on the arena / copy via res.Stats()
 //	}
 //
 // Results returned by an Arena alias its internal state and are valid only
@@ -682,44 +665,12 @@ type Arena struct {
 // NewArena returns an empty arena; the first run sizes it.
 func NewArena() *Arena { return &Arena{m: machine.NewMachine()} }
 
-// Run simulates the executable on the arena (see Arena's aliasing rules).
-func (a *Arena) Run(e *Executable) (*machine.Result, error) {
-	return a.RunContext(context.Background(), e)
-}
-
-// RunContext simulates the executable on the arena under ctx, with
-// Executable.RunContext's cancellation semantics.
-func (a *Arena) RunContext(ctx context.Context, e *Executable) (*machine.Result, error) {
+// VerifyContext runs the executable on the arena and checks it against the
+// interpreter oracle, exactly like Executable.VerifyContext (see Arena's
+// aliasing rules).
+func (a *Arena) VerifyContext(ctx context.Context, e *Executable) (*machine.Result, error) {
 	if err := a.m.Reset(e.Image, e.runConfig()); err != nil {
 		return nil, err
 	}
-	return a.m.RunContext(ctx)
-}
-
-// VerifyContext runs the executable on the arena and checks it against the
-// interpreter oracle, exactly like Executable.VerifyContext.
-func (a *Arena) VerifyContext(ctx context.Context, e *Executable) (*machine.Result, error) {
-	res, err := a.RunContext(ctx, e)
-	if err != nil {
-		return nil, err
-	}
-	return res, e.checkOracle(res)
-}
-
-// RunProcesses is RunProcesses on the arena: the multiprogrammed machinery
-// (per-process pipelines, PCBs, the shared register file) is reused across
-// calls like the single-process state.
-func (a *Arena) RunProcesses(ctx context.Context, exes []*Executable, quantum int64, mode machine.SaveMode) (*MultiResult, error) {
-	imgs, cfg, err := processImages(exes)
-	if err != nil {
-		return nil, err
-	}
-	return a.m.RunMultiprogrammedContext(ctx, imgs, cfg, quantum, mode)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return e.verified(a.m.RunContext(ctx))
 }

@@ -3,6 +3,7 @@ package regconn
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -165,14 +166,39 @@ func TestRunProcesses(t *testing.T) {
 	if _, err := RunProcesses(nil, 200, FullSave); err == nil {
 		t.Error("expected no-processes error")
 	}
-	// Per-PC attribution covers single-process runs only, so both
-	// multiprogrammed entry points refuse Arch.Profile on any process.
+	// Per-PC attribution covers single-process runs only, so the
+	// multiprogrammed entry point refuses Arch.Profile on any process.
 	exes[1].Arch.Profile = true
 	if _, err := RunProcesses(exes, 200, FullSave); err == nil || !strings.Contains(err.Error(), "Profile") {
 		t.Errorf("RunProcesses with Arch.Profile: err = %v, want a profiling rejection", err)
 	}
-	if _, err := NewArena().RunProcesses(context.Background(), exes, 200, FullSave); err == nil || !strings.Contains(err.Error(), "Profile") {
-		t.Errorf("Arena.RunProcesses with Arch.Profile: err = %v, want a profiling rejection", err)
+}
+
+// TestEveryFacadeRunVerifies: every single-process run door checks the run
+// against the interpreter oracle, so an executable whose oracle disagrees
+// with the machine fails through each of them with the result-mismatch
+// error.
+func TestEveryFacadeRunVerifies(t *testing.T) {
+	ex, err := Build(buildLoopSum(), Arch{Issue: 4, IntCore: 16, FPCore: 16, Mode: WithRC, CombineConnects: true, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The oracle of a private Build belongs to this executable alone.
+	ex.Golden.Ret++
+	ctx := context.Background()
+	for _, door := range []struct {
+		name string
+		run  func() (*machine.Result, error)
+	}{
+		{"Verify", ex.Verify},
+		{"VerifyContext", func() (*machine.Result, error) { return ex.VerifyContext(ctx) }},
+		{"Arena.VerifyContext", func() (*machine.Result, error) { return NewArena().VerifyContext(ctx, ex) }},
+		{"RunWithTrace", func() (*machine.Result, error) { return ex.RunWithTrace(io.Discard, 0) }},
+		{"RunWithEvents", func() (*machine.Result, error) { return ex.RunWithEvents(machine.NewEventRing(0)) }},
+	} {
+		if _, err := door.run(); err == nil || !strings.Contains(err.Error(), "result mismatch") {
+			t.Errorf("%s: err %v, want the result-mismatch error", door.name, err)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ GO=${GO:-go}
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"' EXIT INT TERM
 
-if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis ./cmd/rcasm ./cmd/rcbench; then
+if ! $GO build -o "$BIN/" ./cmd/rcrun ./cmd/rclint ./cmd/rcexp ./cmd/rcserve ./cmd/rctop ./cmd/rcgen ./cmd/rcprof ./cmd/rcdis ./cmd/rcasm ./cmd/rcbench ./examples/...; then
     echo "exitcodes: build failed" >&2
     exit 1
 fi
@@ -91,9 +91,17 @@ expect 0 "$BIN/rcrun" -bench cmp -prof
 expect 0 "$BIN/rcprof" -bench cmp -trace-json "$BIN/p.json"
 
 # rcprof's -models and -grid build through the in-process front-end memo
-# (exp.Build) and -grid fans out through exp.ForEach; both succeed.
+# (exp.Build) and -grid fans out through exp.ForEach; both succeed. So
+# does README's case-study report, whose attribution the simulator checks.
 expect 0 "$BIN/rcprof" -bench cmp -models
 expect 0 "$BIN/rcprof" -grid -quick
+expect 0 "$BIN/rcprof" -bench cmp -top 3
+
+# The example programs are the documented users of the regconn facade's
+# run doors (Verify, RunProcesses); each runs to completion.
+for ex in quickstart connection registerpressure stencil multiprocess; do
+    expect 0 "$BIN/$ex"
+done
 
 # rcrun generated workloads and trace emission: malformed gen names and
 # unknown profiles fail; a valid spec runs, and -emit-trace produces a
