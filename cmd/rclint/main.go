@@ -172,9 +172,8 @@ type namedArch struct {
 // archGrid expands one base architecture into the backend × model ×
 // combine grid for the selected backends. Models and combining only exist
 // under RC, which contributes its full sub-grid; portreduce is checked at
-// two read-port widths; every other backend — including ones registered
-// after this tool was written — contributes a single point through its
-// registry name.
+// two read-port widths; every other backend contributes a single point
+// through its name in the backend table.
 func archGrid(base regconn.Arch, quick bool, backends []string) []namedArch {
 	var out []namedArch
 	for _, name := range backends {

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -94,18 +95,14 @@ func run() error {
 
 	if *traceJSON != "" {
 		ring := machine.NewEventRing(*eventCap)
-		if _, err := ex.RunWithEvents(ring); err != nil {
+		if _, err := ex.Verify(ring); err != nil {
 			return err
 		}
-		f, err := os.Create(*traceJSON)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := ring.WriteTraceJSON(&buf, ex.Image); err != nil {
 			return err
 		}
-		if err := ring.WriteTraceJSON(f, ex.Image); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*traceJSON, buf.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Printf("rcprof: wrote %s (%d events, %d dropped; open in chrome://tracing or ui.perfetto.dev)\n",

@@ -8,7 +8,7 @@
 //	      [-fpcore 32] [-mode rc|spill|unlimited|portreduce|chain]
 //	      [-readports 0] [-model 3] [-connect-latency 0] [-extra-stage]
 //	      [-no-combine] [-scalar] [-stats] [-prof] [-top 20]
-//	      [-trace-json FILE] [-emit-trace FILE]
+//	      [-trace N] [-trace-json FILE] [-emit-trace FILE]
 //
 // -bench accepts the paper benchmarks ("grep") and generated workloads
 // ("gen/<profile>/<seed>", see internal/workload; -list shows both).
@@ -22,10 +22,12 @@
 // per-PC attribution report (hot PCs, blocks, per-function stall tables,
 // connect overhead per vreg; see cmd/rcprof for the full profiler).
 // -trace-json writes a Chrome trace-event timeline of the run, loadable in
-// chrome://tracing or ui.perfetto.dev.
+// chrome://tracing or ui.perfetto.dev. -trace, -trace-json and -prof
+// observe the one simulation the report is printed from.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -109,47 +111,46 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*emit)
+		var buf bytes.Buffer
+		key, err := tr.Encode(&buf)
 		if err != nil {
 			return err
 		}
-		key, err := tr.Encode(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := os.WriteFile(*emit, buf.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "rcrun: wrote %s (key %s, %d cycles, %d instrs)\n",
 			*emit, key, tr.Cycles, tr.Instrs)
 	}
+	// One verified run carries every observer the flags ask for.
+	var probes []machine.Probe
+	var tt *machine.TextTrace
+	if *trace > 0 {
+		tt = machine.NewTextTrace(os.Stdout, *trace, ex.Image)
+		probes = append(probes, tt)
+	}
+	var ring *machine.EventRing
 	if *traceOut != "" {
-		ring := machine.NewEventRing(0)
-		if _, err := ex.RunWithEvents(ring); err != nil {
+		ring = machine.NewEventRing(0)
+		probes = append(probes, ring)
+	}
+	res, err := ex.Verify(probes...)
+	if tt != nil {
+		err = tt.Close(err)
+	}
+	if err != nil {
+		return err
+	}
+	if ring != nil {
+		var buf bytes.Buffer
+		if err := ring.WriteTraceJSON(&buf, ex.Image); err != nil {
 			return err
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := ring.WriteTraceJSON(f, ex.Image); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*traceOut, buf.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "rcrun: wrote %s (%d events, %d dropped)\n",
 			*traceOut, len(ring.Events()), ring.Dropped())
-	}
-	if *trace > 0 {
-		if _, err := ex.RunWithTrace(os.Stdout, *trace); err != nil {
-			return err
-		}
-	}
-	res, err := ex.Verify()
-	if err != nil {
-		return err
 	}
 
 	if *stats {

@@ -7,10 +7,10 @@
 // constraints the scheduler and the machine model enforce, and what
 // contract mapcheck verifies.
 //
-// Backends register themselves by name at init time; the public regconn
-// package resolves an Arch to a Backend through this registry, and the
-// CLI layer derives its accepted-name set (and error messages) from the
-// same registry so tool validation cannot drift from the registered set.
+// The set of backends is closed: one table, indexed by ID, holds the five.
+// The public regconn package resolves an Arch to a Backend through it,
+// and the CLI layer derives its accepted-name set (and error messages)
+// from the same table, so tool validation cannot drift from the set.
 package backend
 
 import (
@@ -55,8 +55,8 @@ const (
 	Chain
 )
 
-// String renders the backend's display name, driven by the registry so it
-// cannot drift from the registered set. Unknown values render as
+// String renders the backend's display name, driven by the table so it
+// cannot drift from the backend set. Unknown values render as
 // "RegMode(n)" rather than a sentinel.
 func (m ID) String() string {
 	if be, err := ByID(m); err == nil {
@@ -133,62 +133,47 @@ type Backend interface {
 	UsesRC() bool
 }
 
-var (
-	byName = map[string]Backend{}
-	byID   = map[ID]Backend{}
-)
-
-// Register adds a backend to the registry. It is meant to be called from
-// init functions and panics on duplicate names or IDs.
-func Register(be Backend) {
-	if _, dup := byName[be.Name()]; dup {
-		panic(fmt.Sprintf("backend: duplicate name %q", be.Name()))
-	}
-	if _, dup := byID[be.ID()]; dup {
-		panic(fmt.Sprintf("backend: duplicate id %d", be.ID()))
-	}
-	byName[be.Name()] = be
-	byID[be.ID()] = be
+// all is the backend table, indexed by ID (modes.go defines the five).
+var all = [...]Backend{
+	Unlimited:  unlimitedBackend{},
+	WithoutRC:  spillBackend{},
+	WithRC:     rcBackend{},
+	PortReduce: portReduceBackend{},
+	Chain:      chainBackend{},
 }
 
-// ByName resolves a backend by its registry key. The error lists the
-// registered names so callers can surface it directly.
+// ByName resolves a backend by its name. The error lists the names so
+// callers can surface it directly.
 func ByName(name string) (Backend, error) {
-	if be, ok := byName[name]; ok {
-		return be, nil
+	for _, be := range all {
+		if be.Name() == name {
+			return be, nil
+		}
 	}
 	return nil, fmt.Errorf("unknown mode %q (want %s)", name, NameList())
 }
 
 // ByID resolves a backend by its numeric identity.
 func ByID(id ID) (Backend, error) {
-	if be, ok := byID[id]; ok {
-		return be, nil
+	if int(id) < len(all) {
+		return all[id], nil
 	}
 	return nil, fmt.Errorf("unknown register mode %d (want %s)", uint8(id), NameList())
 }
 
-// Names returns the registered backend names, sorted.
+// Names returns the backend names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
+	names := make([]string, len(all))
+	for i, be := range all {
+		names[i] = be.Name()
 	}
 	sort.Strings(names)
 	return names
 }
 
-// NameList renders the registered names as an "a, b, or c" list for error
-// messages and usage strings.
+// NameList renders the names as an "a, b, or c" list for error messages
+// and usage strings.
 func NameList() string {
 	names := Names()
-	switch len(names) {
-	case 0:
-		return "(none registered)"
-	case 1:
-		return names[0]
-	case 2:
-		return names[0] + " or " + names[1]
-	}
 	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
 }

@@ -7,14 +7,6 @@ import (
 	"regconn/internal/sched"
 )
 
-func init() {
-	Register(unlimitedBackend{})
-	Register(spillBackend{})
-	Register(rcBackend{})
-	Register(portReduceBackend{})
-	Register(chainBackend{})
-}
-
 // baseCodegen fills the fields every lowering shares; Conv is the
 // caller's.
 func baseCodegen(p Params, mode regalloc.Mode) codegen.Config {

@@ -9,6 +9,7 @@ import (
 
 	"regconn"
 	"regconn/internal/bench"
+	"regconn/internal/machine"
 )
 
 // TestLedgerClosesOnGoldenGrid asserts Result.CheckLedger over every
@@ -105,8 +106,9 @@ func TestTraceMonotonicCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := ex.RunWithTrace(&buf, 0)
-	if err != nil {
+	tt := machine.NewTextTrace(&buf, 0, ex.Image)
+	res, err := ex.Verify(tt)
+	if err := tt.Close(err); err != nil {
 		t.Fatal(err)
 	}
 	if res.Mispredicts == 0 {

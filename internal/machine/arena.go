@@ -205,7 +205,8 @@ func (m *Machine) RunMultiprogrammedContext(ctx context.Context, imgs []*Image, 
 			return nil, fmt.Errorf("process %d: %w", i, err)
 		}
 	}
-	if _, ok := cfg.Probe.(*PCProf); ok {
+	// prepare finds a PCProf wherever it sits, alone or in Probes.
+	if prepare(cfg.Probe, 0, cfg.IssueRate) != nil {
 		return nil, errors.New("machine: a PCProf profiles single-process runs only")
 	}
 	defer recoverInitFault(&err)

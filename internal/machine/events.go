@@ -58,6 +58,37 @@ type Probe interface {
 	Event(Event)
 }
 
+// Probes is a Probe that hands each event to every member, in order, so
+// one run can carry several observers. Reset prepares each member as a
+// lone probe, and the first PCProf among them is the run's Result.Prof.
+type Probes []Probe
+
+// Event hands e to every member (the Probe method).
+func (ps Probes) Event(e Event) {
+	for _, p := range ps {
+		p.Event(e)
+	}
+}
+
+// prepare readies p for a run of n instructions at the given issue width
+// and returns the first PCProf it is or holds, for Result.Prof.
+func prepare(p Probe, n, issue int) (prof *PCProf) {
+	switch p := p.(type) {
+	case *PCProf:
+		p.reset(n)
+		return p
+	case *EventRing:
+		p.issue = issue
+	case Probes:
+		for _, q := range p {
+			if pp := prepare(q, n, issue); prof == nil {
+				prof = pp
+			}
+		}
+	}
+	return prof
+}
+
 // EventRing is a bounded event buffer: when full, the oldest events are
 // overwritten, so the trace always holds the most recent window of the
 // run. The zero value is a ready-to-use ring of DefaultEventCap events

@@ -27,8 +27,8 @@ import (
 
 // PCProf is the per-static-instruction attribution of one simulation. All
 // slices are indexed by absolute instruction address (Image.Code index).
-// Attach one (the zero value will do) as Config.Probe of a single-process
-// run: Reset sizes and zeroes it, and the result exports it as Result.Prof.
+// Attach one (the zero value will do) to a single-process run, alone or in
+// Probes: Reset sizes and zeroes it, and the run exports it as Result.Prof.
 type PCProf struct {
 	Instrs       []int64 // dynamic instructions issued at this PC
 	IssueCycles  []int64 // issue cycles opened by this PC (first issuer)

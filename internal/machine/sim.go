@@ -52,8 +52,8 @@ type Config struct {
 	// Probe, when non-nil, observes the run: every trap, issue,
 	// mispredict, stall, connect, map reset, context switch and halt is
 	// reported to it as an Event (*PCProf, *EventRing and *TextTrace are
-	// the probes). Observing never changes timing or results, and traces
-	// do not record the probe.
+	// the probes, and Probes composes them). Observing never changes
+	// timing or results, and traces do not record the probe.
 	Probe Probe `json:"-"`
 
 	// MemSize is the memory image size in bytes (0 = mem.DefaultSize).
@@ -267,7 +267,7 @@ type Result struct {
 	MapInt, MapFP core.Stats
 
 	// Prof is the per-PC cycle attribution, non-nil only when the run's
-	// Config.Probe is a *PCProf (see PCProf for the charging rules).
+	// Config.Probe is or holds a *PCProf (see PCProf's charging rules).
 	Prof *PCProf
 
 	// OpMix counts dynamic instructions by functional-unit class.
@@ -436,7 +436,7 @@ func (s *simState) bindContext(ctx context.Context) {
 // place, and memory reinitialization rezeros only the pages the previous
 // run dirtied (mem.InitImageInto). The resulting state is observationally
 // identical to a freshly constructed one. An attached probe is prepared
-// for the run: a PCProf is sized to the image and exported as
+// for the run (prepare): a PCProf is sized to the image and exported as
 // Result.Prof, an EventRing learns the issue width.
 func (s *simState) reset(img *Image, cfg Config, ri []int64, rf []float64,
 	rdyI, rdyF []int64, tabI, tabF *core.MapTable, proc uint8) {
@@ -460,15 +460,9 @@ func (s *simState) reset(img *Image, cfg Config, ri []int64, rf []float64,
 		s.res = &Result{}
 	}
 	hist := zeroed(s.res.IssueHist, cfg.IssueRate+1)
-	*s.res = Result{Mem: s.mem, Layout: img.Layout, IssueHist: hist}
+	*s.res = Result{Mem: s.mem, Layout: img.Layout, IssueHist: hist,
+		Prof: prepare(cfg.Probe, len(img.Code), cfg.IssueRate)}
 	s.probe = cfg.Probe
-	switch p := cfg.Probe.(type) {
-	case *PCProf:
-		p.reset(len(img.Code))
-		s.res.Prof = p
-	case *EventRing:
-		p.issue = cfg.IssueRate
-	}
 	s.proc = proc
 }
 

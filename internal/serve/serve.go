@@ -521,14 +521,11 @@ func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch reg
 	return val, srcMiss, err
 }
 
-// point answers one (benchmark, arch) coordinate through resolve; a miss
-// is simulated by the front-end memo's RunPoint under a "simulate" span.
-func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch) ([]byte, pointSource, error) {
-	// Canonicalize before keying so the cached response body names the
-	// point the same way the key hashes it, whichever spelling (Backend
-	// name or legacy Mode number) the client used.
-	arch = arch.Canonical()
-	k := Key(bm.Name, arch)
+// point answers one (benchmark, canonical arch) coordinate through resolve
+// under its Key k, so the cached body names the point the way k hashes it;
+// a miss is simulated by the front-end memo's RunPoint under a "simulate"
+// span.
+func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch, k string) ([]byte, pointSource, error) {
 	return s.resolve(ctx, endpoint, bm.Name, k, arch, "simulate", func(ctx context.Context) (any, error) {
 		res, err := s.frontends.RunPoint(ctx, bm, arch)
 		if err != nil {
@@ -604,13 +601,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	// Read the rest of the body, up to its cap, so a client still
-	// uploading reads the reply: net/http discards at most 256 KiB of an
-	// unread body and otherwise closes the connection mid-upload. Reading
-	// stops at the cap, so an oversized body is never drained.
-	io.Copy(io.Discard, upload)
-	writeError(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+	rejectBody(w, upload, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 	return false
+}
+
+// rejectBody answers a refused upload (an http.MaxBytesReader) after
+// reading the rest of it, up to its cap, so a client still uploading reads
+// the reply: net/http discards at most 256 KiB of an unread body and
+// otherwise closes the connection mid-upload. An upload that reaches its
+// cap is read no further, and the reply closes the connection (the hook
+// that tells net/http so is unexported, and statusWriter hides it).
+func rejectBody(w http.ResponseWriter, upload io.Reader, status int, body errorBody) {
+	var tooBig *http.MaxBytesError
+	if _, err := io.Copy(io.Discard, upload); errors.As(err, &tooBig) {
+		w.Header().Set("Connection", "close")
+	}
+	writeError(w, status, body)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -631,9 +637,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	body, src, err := s.point(ctx, "run", bm, req.Arch)
+	arch := req.Arch.Canonical()
+	k := Key(bm.Name, arch)
+	body, src, err := s.point(ctx, "run", bm, arch, k)
 	if err != nil {
-		writeError(w, statusFor(err), errorBody{Benchmark: bm.Name, Key: Key(bm.Name, req.Arch), Error: err.Error()})
+		writeError(w, statusFor(err), errorBody{Benchmark: bm.Name, Key: k, Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -667,8 +675,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	upload := http.MaxBytesReader(w, r.Body, maxReplayBody)
 	tr, key, err := workload.DecodeTrace(upload)
 	if err != nil {
-		io.Copy(io.Discard, upload) // drained as in decodeBody
-		writeError(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		rejectBody(w, upload, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	ctx, cancel := s.requestContext(r, 0)
@@ -761,6 +768,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			resolved[c] = bm
 		}
+		p.Arch = p.Arch.Canonical()
 		jobs[i] = &sweepJob{bm: bm, arch: p, key: Key(bm.Name, p.Arch), ch: make(chan result, 1)}
 	}
 	ctx, cancel := s.requestContext(r, 0)
@@ -865,7 +873,8 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	runner := exp.NewRunner()
 	runner.Workers = s.cfg.Workers
 	runner.Point = func(_ context.Context, bm bench.Benchmark, arch regconn.Arch) (*exp.Result, error) {
-		body, _, err := s.point(ctx, "figures", bm, arch)
+		arch = arch.Canonical()
+		body, _, err := s.point(ctx, "figures", bm, arch, Key(bm.Name, arch))
 		if err != nil {
 			return nil, err
 		}

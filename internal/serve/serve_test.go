@@ -808,6 +808,12 @@ func TestRequestBounds(t *testing.T) {
 			if c.status == http.StatusBadRequest && resp.Close {
 				t.Error("connection closed after the 400: the body was not drained")
 			}
+			// An over-cap body is read only to its cap, so the 413 closes
+			// the connection rather than have net/http read on into the
+			// rejected upload.
+			if c.status == http.StatusRequestEntityTooLarge && !resp.Close {
+				t.Error("connection kept after the 413: the rest of the upload would be read")
+			}
 			if resp, body := postRaw(t, srv, "/v1/run", "application/json", run); resp.StatusCode != http.StatusOK {
 				t.Fatalf("run after the rejection: status %d: %.200s", resp.StatusCode, body)
 			}

@@ -91,7 +91,7 @@ func (r *ring) local(key string) bool {
 // locally or answered by its owning peer, delivered on ch either way.
 type sweepJob struct {
 	bm    bench.Benchmark
-	arch  SweepPoint // request spelling, forwarded verbatim to the owner
+	arch  SweepPoint // canonical arch, forwarded to the owner
 	key   string
 	owner string // ownerLocal or the owning peer's base URL
 	ch    chan result
@@ -176,7 +176,7 @@ func (s *Server) fallbackSweep(ctx context.Context, owner string, jobs []*sweepJ
 // and source counters are observed inside point, exactly as on the
 // /v1/run route.
 func (s *Server) runSweepJob(ctx context.Context, j *sweepJob) {
-	body, _, err := s.point(ctx, "sweep", j.bm, j.arch.Arch)
+	body, _, err := s.point(ctx, "sweep", j.bm, j.arch.Arch, j.key)
 	j.ch <- result{body: body, err: err}
 }
 

@@ -8,15 +8,16 @@
 // behind two calls: Build compiles a program for an architecture
 // configuration, and Executable.Verify simulates it and checks the run
 // against the interpreter oracle. Every single-process run is checked
-// that way, and the simulator checks every run's cycle ledger. See
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduced results.
+// that way, and the simulator checks every run's cycle ledger. Probes
+// given to Verify observe that one run — a per-cycle text trace, a Chrome
+// event ring, a per-PC profile, or all of them at once. See DESIGN.md for
+// the system inventory and EXPERIMENTS.md for the reproduced results.
 package regconn
 
 import (
 	"context"
 	"fmt"
-	"io"
+	"slices"
 
 	"regconn/internal/abi"
 	"regconn/internal/analysis"
@@ -125,8 +126,9 @@ type Arch struct {
 	// Profile enables per-static-instruction cycle attribution: the run's
 	// Result carries a machine.PCProf that internal/prof rolls up to
 	// functions, basic blocks, and virtual registers (cmd/rcprof). It has
-	// no effect on simulated timing or architectural results. It applies
-	// to Verify and Arena runs; RunProcesses rejects it.
+	// no effect on simulated timing or architectural results. Every
+	// single-process run (Verify, VerifyContext, Arena.VerifyContext,
+	// Trace) adds a fresh PCProf to its probes; RunProcesses rejects it.
 	Profile bool
 
 	// MemSize is the simulated memory image size in bytes (0 = the
@@ -219,9 +221,10 @@ type Executable struct {
 	ConnectInstrs   int
 	SaveRestoreExts int
 
-	machineIntTotal, machineFPTotal int
-	be                              backend.Backend
-	bp                              backend.Params
+	// cfg is the simulator configuration of every run, resolved once by
+	// Build from the Arch and its backend; it has no probe. Of the Arch, a
+	// run reads only Profile.
+	cfg machine.Config
 }
 
 // CodeGrowth returns the fractional code-size increase due to register
@@ -457,16 +460,17 @@ func (fe *Frontend) Build(arch Arch) (*Executable, error) {
 	}
 
 	// 6. List scheduling.
+	lat := isa.DefaultLatencies(arch.LoadLatency)
+	lat.Connect = arch.ConnectLatency
 	if !arch.NoSchedule {
 		scfg := sched.Config{
 			Issue:          arch.Issue,
 			MemChannels:    arch.MemChannels,
-			Lat:            isa.DefaultLatencies(arch.LoadLatency),
+			Lat:            lat,
 			Conv:           conv,
 			ConnectLatency: arch.ConnectLatency,
 		}
 		scfg = be.Sched(bp, scfg)
-		scfg.Lat.Connect = arch.ConnectLatency
 		for _, f := range mp.Funcs {
 			sched.Schedule(f, scfg)
 		}
@@ -492,10 +496,27 @@ func (fe *Frontend) Build(arch Arch) (*Executable, error) {
 		return nil, fmt.Errorf("regconn: %w", err)
 	}
 	ex.Image = img
-	ex.Arch.IntCore, ex.Arch.FPCore = arch.IntCore, arch.FPCore
-	// Stash machine totals and the resolved backend for Run.
-	ex.machineIntTotal, ex.machineFPTotal = intTotal, fpTotal
-	ex.be, ex.bp = be, bp
+
+	// 8. The simulator configuration, shared by every run, Trace and
+	// RunProcesses. The backend owns the scheme-specific knobs: the
+	// identity map of the unlimited machine, the spill machine's core-only
+	// file, portreduce's read-port hazard, chain's forwarding marks.
+	trap := arch.Trap
+	trap.ProgramUsesRC = be.UsesRC()
+	ex.cfg = be.Machine(bp, machine.Config{
+		IssueRate:        arch.Issue,
+		MemChannels:      arch.MemChannels,
+		Lat:              lat,
+		Trap:             trap,
+		IntCore:          arch.IntCore,
+		IntTotal:         intTotal,
+		FPCore:           arch.FPCore,
+		FPTotal:          fpTotal,
+		Model:            arch.Model,
+		ConnectLatency:   arch.ConnectLatency,
+		ExtraDecodeStage: arch.ExtraDecodeStage,
+		MemSize:          arch.MemSize,
+	})
 	return ex, nil
 }
 
@@ -508,65 +529,20 @@ func (e *Executable) MapCheck() []mapcheck.Violation {
 	return mapcheck.Verify(e.MProg)
 }
 
-// machineConfig translates the architecture into the simulator's
-// configuration — the single point where the Arch → machine.Config mapping
-// lives, shared by every run and by Trace.
-func (e *Executable) machineConfig() machine.Config {
-	a := e.Arch
-	lat := isa.DefaultLatencies(a.LoadLatency)
-	lat.Connect = a.ConnectLatency
-	trap := a.Trap
-	trap.ProgramUsesRC = e.be.UsesRC()
-	cfg := machine.Config{
-		IssueRate:        a.Issue,
-		MemChannels:      a.MemChannels,
-		Lat:              lat,
-		Trap:             trap,
-		IntCore:          max(a.IntCore, 0),
-		IntTotal:         e.machineIntTotal,
-		FPCore:           a.FPCore,
-		FPTotal:          e.machineFPTotal,
-		Model:            a.Model,
-		ConnectLatency:   a.ConnectLatency,
-		ExtraDecodeStage: a.ExtraDecodeStage,
-		MemSize:          a.MemSize,
-	}
-	// The backend owns the scheme-specific knobs: the identity map of the
-	// unlimited machine, the spill machine's core-only file, portreduce's
-	// read-port hazard, chain's forwarding marks.
-	return e.be.Machine(e.bp, cfg)
-}
-
-// runConfig is machineConfig with the Arch.Profile observer attached: a
-// fresh PCProf per run, which the result exports as Result.Prof.
-func (e *Executable) runConfig() machine.Config {
-	cfg := e.machineConfig()
+// config returns the executable's simulator configuration observed by
+// probes, plus a fresh PCProf under Arch.Profile: the profile is a
+// returned artifact, so every run gets its own.
+func (e *Executable) config(probes []machine.Probe) machine.Config {
+	cfg := e.cfg
 	if e.Arch.Profile {
-		cfg.Probe = new(machine.PCProf)
+		probes = append(slices.Clip(probes), new(machine.PCProf))
+	}
+	if len(probes) == 1 {
+		cfg.Probe = probes[0]
+	} else if len(probes) > 1 {
+		cfg.Probe = machine.Probes(probes)
 	}
 	return cfg
-}
-
-// RunWithTrace is Verify with a per-cycle issue trace written to w for the
-// first cycles cycles (0 = unlimited); see machine.TextTrace. The trace is
-// the run's only observer, so Arch.Profile does not apply.
-func (e *Executable) RunWithTrace(w io.Writer, cycles int64) (*machine.Result, error) {
-	tt := machine.NewTextTrace(w, cycles, e.Image)
-	cfg := e.machineConfig()
-	cfg.Probe = tt
-	res, err := machine.Run(e.Image, cfg)
-	return e.verified(res, tt.Close(err))
-}
-
-// RunWithEvents is Verify with the structured event trace enabled: the
-// pipeline records issues, stalls, connects, map resets, and traps into
-// ring (most recent window when the ring fills). Render the result with
-// ring.WriteTraceJSON for chrome://tracing / Perfetto. The ring is the
-// run's only observer, so Arch.Profile does not apply.
-func (e *Executable) RunWithEvents(ring *machine.EventRing) (*machine.Result, error) {
-	cfg := e.machineConfig()
-	cfg.Probe = ring
-	return e.verified(machine.Run(e.Image, cfg))
 }
 
 // MultiResult reports a multiprogrammed run (see RunProcesses).
@@ -601,7 +577,7 @@ func RunProcesses(exes []*Executable, quantum int64, mode machine.SaveMode) (*Mu
 		}
 		imgs[i] = e.Image
 	}
-	cfg := exes[0].machineConfig()
+	cfg := exes[0].cfg
 	// The quantum-driven switch machinery replaces the trap model.
 	cfg.Trap = machine.TrapConfig{}
 	return machine.RunMultiprogrammed(imgs, cfg, quantum, mode)
@@ -609,16 +585,21 @@ func RunProcesses(exes []*Executable, quantum int64, mode machine.SaveMode) (*Mu
 
 // Verify runs the executable and checks its architectural results against
 // the interpreter oracle: main's return value and the final contents of
-// the global data section must match exactly.
-func (e *Executable) Verify() (*machine.Result, error) {
-	return e.VerifyContext(context.Background())
+// the global data section must match exactly. The probes observe the run
+// (several are composed as machine.Probes): a machine.TextTrace renders
+// the per-cycle issue log, and its caller ends it with err =
+// tt.Close(err), which writes a fault's tail and flushes; a
+// machine.EventRing keeps the events for a Chrome trace; a
+// machine.PCProf comes back as Result.Prof.
+func (e *Executable) Verify(probes ...machine.Probe) (*machine.Result, error) {
+	return e.VerifyContext(context.Background(), probes...)
 }
 
 // VerifyContext is Verify under ctx: cancellation or deadline expiry stops
 // the cycle loop within machine.RunContext's poll stride and surfaces as
 // an error wrapping both machine.ErrCanceled and the context's own error.
-func (e *Executable) VerifyContext(ctx context.Context) (*machine.Result, error) {
-	return e.verified(machine.RunContext(ctx, e.Image, e.runConfig()))
+func (e *Executable) VerifyContext(ctx context.Context, probes ...machine.Probe) (*machine.Result, error) {
+	return e.verified(machine.RunContext(ctx, e.Image, e.config(probes)))
 }
 
 // verified ends every single-process run: it returns the run's result only
@@ -665,11 +646,11 @@ type Arena struct {
 // NewArena returns an empty arena; the first run sizes it.
 func NewArena() *Arena { return &Arena{m: machine.NewMachine()} }
 
-// VerifyContext runs the executable on the arena and checks it against the
-// interpreter oracle, exactly like Executable.VerifyContext (see Arena's
-// aliasing rules).
-func (a *Arena) VerifyContext(ctx context.Context, e *Executable) (*machine.Result, error) {
-	if err := a.m.Reset(e.Image, e.runConfig()); err != nil {
+// VerifyContext runs the executable on the arena, observed by the probes,
+// and checks it against the interpreter oracle, exactly like
+// Executable.VerifyContext (see Arena's aliasing rules).
+func (a *Arena) VerifyContext(ctx context.Context, e *Executable, probes ...machine.Probe) (*machine.Result, error) {
+	if err := a.m.Reset(e.Image, e.config(probes)); err != nil {
 		return nil, err
 	}
 	return e.verified(a.m.RunContext(ctx))

@@ -66,8 +66,9 @@ func TestRunWithTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := ex.RunWithTrace(&buf, 10)
-	if err != nil {
+	tt := machine.NewTextTrace(&buf, 10, ex.Image)
+	res, err := ex.Verify(tt)
+	if err := tt.Close(err); err != nil {
 		t.Fatal(err)
 	}
 	if res.RetInt != 4950 {
@@ -175,9 +176,9 @@ func TestRunProcesses(t *testing.T) {
 }
 
 // TestEveryFacadeRunVerifies: every single-process run door checks the run
-// against the interpreter oracle, so an executable whose oracle disagrees
-// with the machine fails through each of them with the result-mismatch
-// error.
+// against the interpreter oracle, with or without probes, so an executable
+// whose oracle disagrees with the machine fails through each of them with
+// the result-mismatch error.
 func TestEveryFacadeRunVerifies(t *testing.T) {
 	ex, err := Build(buildLoopSum(), Arch{Issue: 4, IntCore: 16, FPCore: 16, Mode: WithRC, CombineConnects: true, Verify: true})
 	if err != nil {
@@ -190,11 +191,23 @@ func TestEveryFacadeRunVerifies(t *testing.T) {
 		name string
 		run  func() (*machine.Result, error)
 	}{
-		{"Verify", ex.Verify},
+		{"Verify", func() (*machine.Result, error) { return ex.Verify() }},
 		{"VerifyContext", func() (*machine.Result, error) { return ex.VerifyContext(ctx) }},
 		{"Arena.VerifyContext", func() (*machine.Result, error) { return NewArena().VerifyContext(ctx, ex) }},
-		{"RunWithTrace", func() (*machine.Result, error) { return ex.RunWithTrace(io.Discard, 0) }},
-		{"RunWithEvents", func() (*machine.Result, error) { return ex.RunWithEvents(machine.NewEventRing(0)) }},
+		{"Arena.VerifyContext given a probe", func() (*machine.Result, error) {
+			return NewArena().VerifyContext(ctx, ex, machine.NewEventRing(0))
+		}},
+		{"Verify given a TextTrace", func() (*machine.Result, error) {
+			tt := machine.NewTextTrace(io.Discard, 0, ex.Image)
+			res, err := ex.Verify(tt)
+			return res, tt.Close(err)
+		}},
+		{"Verify given an EventRing", func() (*machine.Result, error) { return ex.Verify(machine.NewEventRing(0)) }},
+		{"Verify given a TextTrace, an EventRing and a PCProf", func() (*machine.Result, error) {
+			tt := machine.NewTextTrace(io.Discard, 0, ex.Image)
+			res, err := ex.Verify(tt, machine.NewEventRing(0), new(machine.PCProf))
+			return res, tt.Close(err)
+		}},
 	} {
 		if _, err := door.run(); err == nil || !strings.Contains(err.Error(), "result mismatch") {
 			t.Errorf("%s: err %v, want the result-mismatch error", door.name, err)

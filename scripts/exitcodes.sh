@@ -35,7 +35,7 @@ expect() {
 
 # expect_msg WANT PATTERN CMD ARGS... additionally requires PATTERN (grep
 # BRE) on the combined output — used to pin that backend-name rejections
-# list the registry's names, so the message tracks new registrations, and
+# list the backend table's names, so the message tracks the table, and
 # that a refused flag combination names its flags.
 expect_msg() {
     want=$1
@@ -54,8 +54,8 @@ expect_msg() {
     fi
 }
 
-# The registry-derived name list every unknown-backend rejection must
-# carry (sorted registry order).
+# The table-derived name list every unknown-backend rejection must carry
+# (sorted).
 BACKEND_LIST="chain, portreduce, rc, spill, or unlimited"
 
 # Likewise for unknown workload-profile rejections: the message must list
@@ -84,10 +84,15 @@ expect 0 "$BIN/rcrun" -bench grep -mode chain
 expect 0 "$BIN/rcrun" -list
 
 # Simulator observers (machine.Config.Probe): the text trace, the Chrome
-# event trace and the per-PC profile run to completion.
+# event trace and the per-PC profile run to completion. Probes compose
+# (machine.Probes), so rcrun attaches every observer flag to its one
+# verified run; -emit-trace records a run of its own, which rcgen replays.
 expect 0 "$BIN/rcrun" -bench grep -trace 8
 expect 0 "$BIN/rcrun" -bench grep -trace-json "$BIN/t.json"
 expect 0 "$BIN/rcrun" -bench cmp -prof
+expect 0 "$BIN/rcrun" -bench grep -trace 8 -trace-json "$BIN/t.json" -prof -stats
+expect 0 "$BIN/rcrun" -bench gen/mixed/0 -trace 4 -emit-trace "$BIN/o.rctrace"
+expect 0 "$BIN/rcgen" replay "$BIN/o.rctrace"
 expect 0 "$BIN/rcprof" -bench cmp -trace-json "$BIN/p.json"
 
 # rcprof's -models and -grid build through the in-process front-end memo

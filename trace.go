@@ -37,7 +37,7 @@ func (e *Executable) Trace(name string) (*workload.Trace, error) {
 	return &workload.Trace{
 		Name:      name,
 		Arch:      archJSON,
-		Config:    e.machineConfig(),
+		Config:    e.cfg,
 		Entry:     e.MProg.Entry,
 		EntryPC:   e.Image.Entry,
 		Code:      e.Image.Code,
