@@ -18,7 +18,7 @@ import (
 // register models. Regenerate with `go test ./internal/exp -run Golden -update`
 // only when an intentional modelling change is made, and say why in the
 // commit message.
-var update = flag.Bool("update", false, "rewrite testdata/golden_center.json")
+var update = flag.Bool("update", false, "rewrite the golden files of the tests run")
 
 type goldenPoint struct {
 	Benchmark   string  `json:"benchmark"`
