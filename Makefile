@@ -22,7 +22,8 @@ test:
 # coalescing, cancellation, sharding), the waiter-counted flight under
 # its resolver and the front-end memo, and the LRU behind its result
 # cache, on the persistent result store (crash recovery) and on the
-# observability layer (tracing, metrics registry), the CLI exit-code
+# observability layer (tracing, metrics registry), on trace replays
+# (concurrent replays share pooled simulation arenas), the CLI exit-code
 # contract (scripts/exitcodes.sh), the metric-table cross-check
 # (scripts/metricslint.sh), the static map-state verifier over the
 # full benchmark × backend × model × combine grid (cmd/rclint, split
@@ -49,6 +50,7 @@ verify: build
 	$(GO) test -race ./internal/lru/...
 	$(GO) test -race ./internal/store/...
 	$(GO) test -race ./internal/obs/...
+	$(GO) test -race ./internal/workload/...
 	sh scripts/exitcodes.sh
 	sh scripts/metricslint.sh
 	sh scripts/benchgate.sh

@@ -83,7 +83,7 @@ func run() error {
 		fpCore  = flag.Int("fpcore", 32, "core floating-point registers")
 		quick   = flag.Bool("quick", false, "one issue rate, model 3 only")
 		windows = flag.String("windows", "lru", "connect-window policy: lru, round-robin, first-free")
-		workers = flag.Int("workers", runtime.NumCPU(), "parallel builds")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel builds, at most GOMAXPROCS (half the front-end memo, so each front end compiles once)")
 		verbose = flag.Bool("v", false, "print every point checked")
 	)
 	flag.Parse()
@@ -128,9 +128,9 @@ func run() error {
 	}
 
 	// The points of one benchmark and issue rate share a front end, which
-	// the memo compiles once.
+	// the memo compiles once while the pool stays inside its bound.
 	results := make([]finding, len(points))
-	exp.ForEach(*workers, len(points), func(i int) {
+	exp.ForEach(min(*workers, runtime.GOMAXPROCS(0)), len(points), func(i int) {
 		pt := points[i]
 		ex, err := exp.Build(context.Background(), pt.bm, pt.arch)
 		if err != nil {

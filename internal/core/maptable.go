@@ -328,35 +328,47 @@ func (t *MapTable) ConnectDef(idx, phys int) {
 	t.defsByIdx[idx]++
 }
 
+// ReadPhys, WritePhys and NoteWrite are the simulator's per-operand
+// lookups, kept small enough to inline. Each reads its map entry before
+// anything else, so an index outside [0, m) panics through the slice's
+// bounds check whether mapping is enabled or not; the simulator admits
+// only in-range indices (machine.Check).
+
 // ReadPhys returns the physical register accessed when idx is used as a
 // source operand.
 func (t *MapTable) ReadPhys(idx int) int {
-	t.checkIdx(idx)
+	p := t.read[idx]
 	if !t.enabled {
 		return idx
 	}
-	return int(t.read[idx])
+	return int(p)
 }
 
 // WritePhys returns the physical register accessed when idx is used as a
 // destination operand. It does not apply the automatic reset; call
 // NoteWrite once the write has architecturally happened.
 func (t *MapTable) WritePhys(idx int) int {
-	t.checkIdx(idx)
+	p := t.write[idx]
 	if !t.enabled {
 		return idx
 	}
-	return int(t.write[idx])
+	return int(p)
 }
 
 // NoteWrite applies the automatic-reset side effect of a completed register
 // write through idx, per the table's model (§2.3). It returns the physical
-// register the write went to.
+// register the write went to. An entry whose maps are both at home is left
+// as it is by every model, so such a write returns at once.
 func (t *MapTable) NoteWrite(idx int) int {
-	t.checkIdx(idx)
-	if !t.enabled {
+	home := uint16(idx)
+	if w := t.write[idx]; !t.enabled || w == home && t.read[idx] == home {
 		return idx
 	}
+	return t.autoReset(idx)
+}
+
+// autoReset is NoteWrite's model step for an enabled entry away from home.
+func (t *MapTable) autoReset(idx int) int {
 	phys := t.write[idx]
 	before := t.gen
 	switch t.model {

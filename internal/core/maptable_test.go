@@ -164,6 +164,39 @@ func TestGeometryPanics(t *testing.T) {
 	mustPanic("ctx geometry", func() { tab.RestoreContext(Context{Read: make([]uint16, 4), Write: make([]uint16, 4)}) })
 }
 
+// TestMapAccessorsPanicOutOfRange: the per-operand lookups carry no
+// explicit range check, so their map reads must bound them. An index at m
+// or below zero panics in ReadPhys, WritePhys and NoteWrite with mapping
+// enabled and disabled (the disabled path returns idx without needing the
+// map entry), also on a table reinitialized to fewer entries than its
+// slices hold.
+func TestMapAccessorsPanicOutOfRange(t *testing.T) {
+	shrunk := NewMapTable(WriteResetReadUpdate, 16, 64)
+	shrunk.Reinit(WriteResetReadUpdate, 8, 64)
+	for _, tab := range []*MapTable{NewMapTable(WriteResetReadUpdate, 8, 64), shrunk} {
+		for _, enabled := range []bool{true, false} {
+			tab.SetEnabled(enabled)
+			for name, fn := range map[string]func(int) int{
+				"ReadPhys": tab.ReadPhys, "WritePhys": tab.WritePhys, "NoteWrite": tab.NoteWrite,
+			} {
+				for _, idx := range []int{tab.Core(), -1} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s(%d) with mapping enabled=%v did not panic", name, idx, enabled)
+							}
+						}()
+						fn(idx)
+					}()
+				}
+				if got := fn(tab.Core() - 1); got != tab.Core()-1 {
+					t.Errorf("%s(%d) = %d at home, want %d", name, tab.Core()-1, got, tab.Core()-1)
+				}
+			}
+		}
+	}
+}
+
 func TestRestoreContextBounds(t *testing.T) {
 	// A context whose entries reference physical registers outside the
 	// table's file must be rejected, not silently installed: once copied,

@@ -131,8 +131,8 @@ func checkSlot(slot string, r Reg, want RegClass) error {
 
 // ConnectPairs returns the (index, phys, isDef) triples of a connect
 // instruction in operand order, driven by the Meta table's pair shape. It
-// returns nil for non-connects. Hot paths should prefer the pre-extracted
-// Decoded.Pairs, which does not allocate.
+// returns nil for non-connects. It allocates; the simulator copies the
+// pairs into its micro-ops once per run instead.
 func (in *Instr) ConnectPairs() []ConnectPair {
 	m := in.Op.Meta()
 	if m.NPairs == 0 {

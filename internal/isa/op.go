@@ -161,8 +161,8 @@ func (k Kind) String() string {
 // connection adds registers without changing instruction formats (paper
 // §2), so each opcode has exactly one operand shape, and this table is its
 // only statement: Instr.Uses, Def, ReadsA, ReadsB and CheckOperands derive
-// from it. The table is consulted once per instruction at predecode time;
-// the simulator's hot path reads the extracted Decoded form instead.
+// from it. The simulator consults the table once per instruction, when it
+// predecodes the code into micro-ops, and its hot path reads those.
 type OpMeta struct {
 	Name string
 	Kind Kind

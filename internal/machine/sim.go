@@ -501,6 +501,7 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 	}
 	start := s.cycle
 	defer func() { s.res.ActiveCycles += s.cycle - start }()
+	res, probe, code := s.res, s.probe, s.code
 	var issueCycle int64
 	defer func() {
 		if r := recover(); r != nil {
@@ -529,13 +530,13 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 		}
 		if cfg.Trap.Interval > 0 && cycle >= s.nextTrap {
 			ov := s.trapOverhead()
-			if s.probe != nil {
+			if probe != nil {
 				// Charged to the instruction that was about to issue.
-				s.probe.Event(Event{Kind: EvTrap, Cycle: cycle, Dur: ov, PC: int32(s.pc), Proc: s.proc})
+				probe.Event(Event{Kind: EvTrap, Cycle: cycle, Dur: ov, PC: int32(s.pc), Proc: s.proc})
 			}
 			cycle += ov
-			s.res.Traps++
-			s.res.TrapOverheads += ov
+			res.Traps++
+			res.TrapOverheads += ov
 			s.nextTrap = cycle + cfg.Trap.Interval
 		}
 		issued := 0
@@ -548,26 +549,27 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 		// issueCycle to stay monotonic.
 		issueCycle = cycle
 		for issued < cfg.IssueRate {
-			u := &s.code[s.pc]
+			u := &code[s.pc]
 			if u.Op == isa.HALT {
-				s.res.IssueHist[issued]++
+				res.IssueHist[issued]++
+				res.Instrs += int64(issued)
 				if issued == 0 {
-					s.res.HaltCycles++
+					res.HaltCycles++
 				}
-				if s.probe != nil {
-					s.probe.Event(Event{Kind: EvHalt, Cycle: issueCycle, PC: int32(s.pc), Slot: uint8(issued), Proc: s.proc})
+				if probe != nil {
+					probe.Event(Event{Kind: EvHalt, Cycle: issueCycle, PC: int32(s.pc), Slot: uint8(issued), Proc: s.proc})
 				}
 				// Connects and memory operations are op-mix classes
 				// (isa.Meta's Connect and Mem flags), read off once here
 				// rather than counted per instruction.
-				s.res.Connects = s.res.OpMix[isa.KindConnect]
-				s.res.MemOps = s.res.OpMix[isa.KindLoad] + s.res.OpMix[isa.KindStore]
+				res.Connects = res.OpMix[isa.KindConnect]
+				res.MemOps = res.OpMix[isa.KindLoad] + res.OpMix[isa.KindStore]
 				s.cycle = cycle + 1
-				s.res.Cycles = s.cycle
+				res.Cycles = s.cycle
 				return true, nil
 			}
-			ok, reason := s.canIssue(u, cycle, memUsed)
-			if !ok {
+			pa, pb, reason := s.canIssue(u, cycle, memUsed)
+			if reason != stallNone {
 				if issued == 0 {
 					firstStall = reason
 				} else if reason == stallPorts {
@@ -576,61 +578,60 @@ func (s *simState) runUntil(stopAt int64) (halted bool, err error) {
 					// (With the two-source ISA and the >=2-port clamp, the
 					// head of a group always has ports, so this is where a
 					// reduced-port file shows up.)
-					s.res.PortLimitedCycles++
+					res.PortLimitedCycles++
 				}
 				break
 			}
 			issuePC := s.pc
-			next, mispredict, err := s.execute(u, cycle)
+			next, mispredict, err := s.execute(u, pa, pb, cycle)
 			if err != nil {
 				return false, s.runtimeError(issuePC, issueCycle, err)
 			}
 			issued++
-			s.res.Instrs++
-			s.res.OpMix[u.Kind]++
-			if s.probe != nil {
-				s.probe.Event(Event{Kind: EvIssue, Cycle: issueCycle, Dur: 1,
+			res.OpMix[u.Kind]++
+			if probe != nil {
+				probe.Event(Event{Kind: EvIssue, Cycle: issueCycle, Dur: 1,
 					PC: int32(issuePC), Slot: uint8(issued - 1), Proc: s.proc})
 			}
 			if u.Mem {
 				memUsed++
 			}
 			if u.chainOut {
-				s.res.ChainPairs++
+				res.ChainPairs++
 			}
-			if u.chainIn {
-				for k := range u.Uses() {
-					if u.chainSkip[k] {
-						s.res.ChainElidedReads++
-					}
-				}
+			if u.chainA {
+				res.ChainElidedReads++
+			}
+			if u.chainB {
+				res.ChainElidedReads++
 			}
 			s.pc = next
 			if mispredict {
-				s.res.Mispredicts++
+				res.Mispredicts++
 				cycle += penalty
-				s.res.StallBranch += penalty
-				if s.probe != nil {
-					s.probe.Event(Event{Kind: EvMispredict, Cycle: issueCycle, Dur: penalty,
+				res.StallBranch += penalty
+				if probe != nil {
+					probe.Event(Event{Kind: EvMispredict, Cycle: issueCycle, Dur: penalty,
 						PC: int32(issuePC), Proc: s.proc})
 				}
 				break
 			}
 		}
-		s.res.IssueHist[issued]++
+		res.IssueHist[issued]++
+		res.Instrs += int64(issued)
 		if issued == 0 {
 			// s.pc is the instruction that failed to issue: the stall
 			// cycle is charged to it.
 			switch firstStall {
 			case stallData:
-				s.res.StallData++
+				res.StallData++
 			case stallMem:
-				s.res.StallMem++
+				res.StallMem++
 			case stallConn:
-				s.res.StallConn++
+				res.StallConn++
 			}
-			if s.probe != nil {
-				s.probe.Event(Event{Kind: EvStall, Cycle: issueCycle, Dur: 1,
+			if probe != nil {
+				probe.Event(Event{Kind: EvStall, Cycle: issueCycle, Dur: 1,
 					PC: int32(s.pc), Proc: s.proc, Arg: int32(firstStall)})
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"regconn/internal/codegen"
 	"regconn/internal/ir"
@@ -250,19 +252,32 @@ func (t *Trace) image() *machine.Image {
 	}
 }
 
+// replayArenas pools the simulation arenas of replays, as exp pools its
+// sweep's: concurrent replays reuse a handful of warm machines instead of
+// allocating one per trace. Safe because Reset restores power-on state and
+// Replay copies out what it returns before the arena goes back.
+var replayArenas = sync.Pool{New: func() any { return machine.NewMachine() }}
+
 // Replay feeds the trace to the simulator — no IR pipeline, no compiler —
 // and verifies the result against everything the trace recorded: the
 // interpreter oracle's return value and memory digest and the recorded
 // cycle and instruction counts (the determinism pin: one trace must
 // produce one timing, bit-exact, forever). The simulator itself refuses a
-// run whose cycle-attribution ledger does not close. The returned result
-// is freshly allocated and safe to retain.
+// run whose cycle-attribution ledger does not close. The run uses a pooled
+// arena, and every check reads it before it goes back to the pool; the
+// returned result is detached from it: its counters, issue histogram and
+// map telemetry are copies, and it carries no memory image (Mem is nil).
 func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	img := t.image()
-	res, err := machine.RunContext(ctx, img, t.Config)
+	m := replayArenas.Get().(*machine.Machine)
+	defer replayArenas.Put(m)
+	if err := m.Reset(img, t.Config); err != nil {
+		return nil, fmt.Errorf("workload: replay %s: %w", t.Name, err)
+	}
+	res, err := m.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("workload: replay %s: %w", t.Name, err)
 	}
@@ -279,5 +294,9 @@ func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
 		return nil, fmt.Errorf("workload: replay %s: %d cycles / %d instrs, trace recorded %d / %d (simulator nondeterminism or drift)",
 			t.Name, res.Cycles, res.Instrs, t.Cycles, t.Instrs)
 	}
-	return res, nil
+	out := *res
+	out.Mem = nil
+	out.IssueHist = slices.Clone(res.IssueHist)
+	out.MapInt, out.MapFP = res.MapInt.Clone(), res.MapFP.Clone()
+	return &out, nil
 }
