@@ -31,6 +31,7 @@ func Schedule(mf *codegen.MFunc, cfg Config) {
 			label[in.Target] = true
 		}
 	}
+	var sc scratch
 	start := 0
 	for i := 1; i <= n; i++ {
 		boundary := i == n || label[i]
@@ -41,10 +42,35 @@ func Schedule(mf *codegen.MFunc, cfg Config) {
 			}
 		}
 		if boundary {
-			scheduleRegion(mf, start, i, ids, liveAt, cfg)
+			scheduleRegion(mf, start, i, ids, liveAt, cfg, &sc)
 			start = i
 		}
 	}
+}
+
+// scratch is the working storage of scheduleRegion, reused by every
+// region of one Schedule call: regions are scheduled one after another,
+// and nothing of a region's outlives it.
+type scratch struct {
+	nodes     []node
+	regs      []int  // every node's uses and defs
+	edges     []edge // every node's successors
+	order     []int
+	scheduled []bool
+	npredLeft []int
+	ready     []int
+	portStamp []int
+	code      []isa.Instr
+	ann       []codegen.Annot
+}
+
+// resized returns s with length n, reusing its array when it is large
+// enough. The elements are stale.
+func resized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // node is per-instruction dependence information within a region.
@@ -95,7 +121,7 @@ func intersects(a, b []int) bool {
 	return false
 }
 
-func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[int]analysis.BitSet, cfg Config) {
+func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[int]analysis.BitSet, cfg Config, sc *scratch) {
 	n := end - start
 	if n <= 1 {
 		return
@@ -111,22 +137,23 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 		maxCore = mx
 	}
 
-	nodes := make([]node, n)
-	// Positions (region-relative) of defs per phys id, for the opaque-root
-	// stability check in mayAlias.
-	defPos := map[int][]int{}
-	var scratch []int
+	nodes := resized(sc.nodes, n)
+	sc.nodes = nodes
+	clear(nodes)
+	// Each node's uses and defs are windows of one array; a window is
+	// capped, so no append through it reaches the next. An array that
+	// grows leaves the earlier windows on the old one, intact.
+	regs := sc.regs[:0]
 	for k := 0; k < n; k++ {
 		i := start + k
 		in, ann := &mf.Code[i], &mf.Ann[i]
 		nd := &nodes[k]
-		scratch = instrUses(in, ann, ids, cfg, nil)
-		nd.uses = append([]int(nil), scratch...)
-		scratch = instrDefs(in, ann, ids, cfg, nil)
-		nd.defs = append([]int(nil), scratch...)
-		for _, d := range nd.defs {
-			defPos[d] = append(defPos[d], k)
-		}
+		from := len(regs)
+		regs = instrUses(in, ann, ids, cfg, regs)
+		nd.uses = regs[from:len(regs):len(regs)]
+		from = len(regs)
+		regs = instrDefs(in, ann, ids, cfg, regs)
+		nd.defs = regs[from:len(regs):len(regs)]
 		nd.isMem = in.Op.IsMem()
 		nd.isStore = in.Op.Kind() == isa.KindStore
 		nd.isBranch = in.Op == isa.BR || in.Op.IsCondBranch()
@@ -170,12 +197,21 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 		}
 	}
 
-	addEdge := func(i, j, lat int) {
-		nodes[i].succs = append(nodes[i].succs, edge{j, lat})
-		nodes[j].npred++
-	}
+	sc.regs = regs
 
+	// Positions (region-relative) of defs per phys id, for the opaque-root
+	// stability check in mayAlias, built by its first query: most regions
+	// make none.
+	var defPos map[int][]int
 	hasDefBetween := func(phys int, i, j int) bool {
+		if defPos == nil {
+			defPos = map[int][]int{}
+			for k := range nodes {
+				for _, d := range nodes[k].defs {
+					defPos[d] = append(defPos[d], k)
+				}
+			}
+		}
 		ps := defPos[phys]
 		// any position strictly between i and j
 		lo := sort.SearchInts(ps, i+1)
@@ -217,10 +253,23 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 		return true
 	}
 
-	for j := 1; j < n; j++ {
-		nj := &nodes[j]
-		for i := j - 1; i >= 0; i-- {
-			ni := &nodes[i]
+	// Each node's successors, in ascending order, are a window of an
+	// array with room for every candidate, so no append copies: when the
+	// array runs short, the next window starts a fresh one of twice the
+	// size.
+	edges := sc.edges[:0]
+	addEdge := func(i, j, lat int) {
+		edges = append(edges, edge{j, lat})
+		nodes[j].npred++
+	}
+	for i := 0; i < n; i++ {
+		ni := &nodes[i]
+		if room := n - 1 - i; cap(edges)-len(edges) < room {
+			edges = make([]edge, 0, max(2*cap(edges), room))
+		}
+		from := len(edges)
+		for j := i + 1; j < n; j++ {
+			nj := &nodes[j]
 			// Barriers order against everything (and their clobber lists
 			// are large, so skip the fine-grained checks).
 			if ni.isBarrier || nj.isBarrier {
@@ -290,7 +339,9 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 				addEdge(i, j, lat)
 			}
 		}
+		ni.succs = edges[from:len(edges):len(edges)]
 	}
+	sc.edges = edges
 
 	// Height (critical path) priority.
 	for i := n - 1; i >= 0; i-- {
@@ -304,13 +355,14 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 	}
 
 	// List scheduling.
-	order := make([]int, 0, n)
-	scheduled := make([]bool, n)
-	npredLeft := make([]int, n)
+	order := sc.order[:0]
+	scheduled := resized(sc.scheduled, n)
+	clear(scheduled)
+	npredLeft := resized(sc.npredLeft, n)
 	for i := range nodes {
 		npredLeft[i] = nodes[i].npred
 	}
-	var ready []int
+	ready := sc.ready[:0]
 	for i := range nodes {
 		if npredLeft[i] == 0 {
 			ready = append(ready, i)
@@ -322,7 +374,8 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 	var portStamp []int
 	portI, portF := 0, 0
 	if cfg.ReadPorts > 0 {
-		portStamp = make([]int, ids.total())
+		portStamp = resized(sc.portStamp, ids.total())
+		sc.portStamp = portStamp
 		for i := range portStamp {
 			portStamp[i] = -1
 		}
@@ -420,8 +473,10 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 	}
 
 	// Rewrite the region in scheduled order.
-	newCode := make([]isa.Instr, n)
-	newAnn := make([]codegen.Annot, n)
+	sc.order, sc.scheduled, sc.npredLeft, sc.ready = order, scheduled, npredLeft, ready
+	newCode := resized(sc.code, n)
+	newAnn := resized(sc.ann, n)
+	sc.code, sc.ann = newCode, newAnn
 	for pos, idx := range order {
 		newCode[pos] = mf.Code[start+idx]
 		newAnn[pos] = mf.Ann[start+idx]
