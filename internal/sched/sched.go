@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"regconn/internal/analysis"
@@ -62,15 +63,6 @@ type scratch struct {
 	portStamp []int
 	code      []isa.Instr
 	ann       []codegen.Annot
-}
-
-// resized returns s with length n, reusing its array when it is large
-// enough. The elements are stale.
-func resized[E any](s []E, n int) []E {
-	if cap(s) < n {
-		return make([]E, n)
-	}
-	return s[:n]
 }
 
 // node is per-instruction dependence information within a region.
@@ -137,7 +129,7 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 		maxCore = mx
 	}
 
-	nodes := resized(sc.nodes, n)
+	nodes := slices.Grow(sc.nodes[:0], n)[:n]
 	sc.nodes = nodes
 	clear(nodes)
 	// Each node's uses and defs are windows of one array; a window is
@@ -356,9 +348,9 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 
 	// List scheduling.
 	order := sc.order[:0]
-	scheduled := resized(sc.scheduled, n)
+	scheduled := slices.Grow(sc.scheduled[:0], n)[:n]
 	clear(scheduled)
-	npredLeft := resized(sc.npredLeft, n)
+	npredLeft := slices.Grow(sc.npredLeft[:0], n)[:n]
 	for i := range nodes {
 		npredLeft[i] = nodes[i].npred
 	}
@@ -374,7 +366,7 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 	var portStamp []int
 	portI, portF := 0, 0
 	if cfg.ReadPorts > 0 {
-		portStamp = resized(sc.portStamp, ids.total())
+		portStamp = slices.Grow(sc.portStamp[:0], ids.total())[:ids.total()]
 		sc.portStamp = portStamp
 		for i := range portStamp {
 			portStamp[i] = -1
@@ -474,8 +466,8 @@ func scheduleRegion(mf *codegen.MFunc, start, end int, ids physID, liveAt map[in
 
 	// Rewrite the region in scheduled order.
 	sc.order, sc.scheduled, sc.npredLeft, sc.ready = order, scheduled, npredLeft, ready
-	newCode := resized(sc.code, n)
-	newAnn := resized(sc.ann, n)
+	newCode := slices.Grow(sc.code[:0], n)[:n]
+	newAnn := slices.Grow(sc.ann[:0], n)[:n]
 	sc.code, sc.ann = newCode, newAnn
 	for pos, idx := range order {
 		newCode[pos] = mf.Code[start+idx]
