@@ -73,10 +73,13 @@ lint:
 # bench regenerates BENCH_sim.json, the tracked simulator performance
 # snapshot (figure-regeneration time, warm-arena simulation throughput,
 # steady-state allocation counts), then runs the in-repo microbenchmarks
-# with -benchmem so per-op allocation figures land in the log.
+# with -benchmem so per-op allocation figures land in the log: the arena
+# runs, and the serve hit path (warm /v1/sweep requests of a stored
+# 180-point grid, in points/s).
 bench:
 	$(GO) run ./cmd/rcbench -o BENCH_sim.json
 	$(GO) test -run '^$$' -bench 'ArenaResetRun|ArenaRun' -benchmem ./internal/machine .
+	$(GO) test -run '^$$' -bench WarmSweep -benchmem ./internal/serve
 
 # exp regenerates every table and figure on the full suite.
 exp:

@@ -119,9 +119,9 @@ func newMetrics(cache *lru.Cache[[]byte], st *store.Store, peers []string) *metr
 // histogram, labeled by endpoint and backend. Every route goes through
 // it (run, sweep-local, sweep-fallback, replay, figures), which is what
 // makes the p50/p99 truthful for sweep-dominated traffic.
-func (m *metrics) observe(endpoint string, arch regconn.Arch, src pointSource, d time.Duration) {
+func (m *metrics) observe(endpoint, backend string, src pointSource, d time.Duration) {
 	m.points.With(endpoint, src.label()).Inc()
-	m.latency.With(endpoint, backendLabel(arch)).Observe(d.Seconds())
+	m.latency.With(endpoint, backend).Observe(d.Seconds())
 }
 
 // refresh recomputes the scrape-time peer liveness gauges. Called by

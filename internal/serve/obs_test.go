@@ -130,6 +130,80 @@ func TestSpanTreeInvariantGoldenGrid(t *testing.T) {
 	if tr.ID() != rid {
 		t.Errorf("trace id %s != response request id %s", tr.ID(), rid)
 	}
+
+	// A second sweep of the same grid is answered from the cache: its
+	// trace still passes Check, every point span says HIT over a
+	// cache.lookup child, nothing flies or simulates, and each point is
+	// counted once as a sweep hit with one latency observation.
+	hitsBefore := getMetrics(t, srv)["cache_hits"]
+	promBefore, latBefore := sweepHitSeries(t, srv)
+	resp, err = srv.Client().Post(srv.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmRID := resp.Header.Get("X-Request-ID")
+	var warm bytes.Buffer
+	warm.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if warm.String() != out.String() {
+		t.Fatal("warm sweep is not byte-identical to the cold sweep")
+	}
+	traces = sv.obs.recent(warmRID)
+	if len(traces) != 1 {
+		t.Fatalf("retained %d traces for id %s, want 1", len(traces), warmRID)
+	}
+	if err := traces[0].Check(500 * time.Millisecond); err != nil {
+		t.Fatalf("warm span-tree cross-check failed: %v", err)
+	}
+	spans = traces[0].Spans()
+	points, lookups := 0, map[int]bool{}
+	for _, si := range spans {
+		switch si.Name {
+		case "point":
+			points++
+			if c, _ := attr(si, "cache"); c != "HIT" {
+				t.Errorf("warm point span has cache=%v, want HIT", c)
+			}
+		case "cache.lookup":
+			if spans[si.Parent].Name != "point" {
+				t.Errorf("cache.lookup under %q, want point", spans[si.Parent].Name)
+			}
+			lookups[si.Parent] = true
+		case "flight", "simulate":
+			t.Errorf("warm sweep has a %s span", si.Name)
+		}
+	}
+	if points != 48 || len(lookups) != 48 {
+		t.Errorf("warm trace has %d point spans, %d with a cache.lookup child; want 48 and 48", points, len(lookups))
+	}
+	if d := getMetrics(t, srv)["cache_hits"] - hitsBefore; d != 48 {
+		t.Errorf("cache_hits rose by %v, want 48", d)
+	}
+	promAfter, latAfter := sweepHitSeries(t, srv)
+	if d := promAfter - promBefore; d != 48 {
+		t.Errorf(`rcserve_points_total{endpoint="sweep",source="hit"} rose by %v, want 48`, d)
+	}
+	if d := latAfter - latBefore; d != 48 {
+		t.Errorf(`rcserve_point_latency_seconds_count{endpoint="sweep"} rose by %v, want 48`, d)
+	}
+}
+
+// sweepHitSeries reads the sweep endpoint's hit count from
+// rcserve_points_total and its latency observations, summed over
+// backends, from rcserve_point_latency_seconds.
+func sweepHitSeries(t *testing.T, srv *httptest.Server) (hits, observed float64) {
+	t.Helper()
+	for _, s := range promFamily(t, srv, "rcserve_points_total", "counter").Samples {
+		if s.Labels["endpoint"] == "sweep" && s.Labels["source"] == "hit" {
+			hits += s.Value
+		}
+	}
+	for _, s := range promFamily(t, srv, "rcserve_point_latency_seconds", "histogram").Samples {
+		if s.Name == "rcserve_point_latency_seconds_count" && s.Labels["endpoint"] == "sweep" {
+			observed += s.Value
+		}
+	}
+	return hits, observed
 }
 
 // syncWriter serializes concurrent slog writes into one buffer.

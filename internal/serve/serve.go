@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -390,16 +391,61 @@ type errorBody struct {
 // so legacy points (whose canonical form leaves Backend empty) keep the
 // exact keys they had before Backend existed.
 func Key(benchmark string, arch regconn.Arch) string {
-	arch = arch.Canonical()
-	b, err := json.Marshal(struct {
+	return hashPoint(marshal(struct {
 		Benchmark string       `json:"benchmark"`
 		Arch      regconn.Arch `json:"arch"`
-	}{benchmark, arch})
+	}{benchmark, arch.Canonical()}))
+}
+
+// marshal encodes a point, a benchmark name or an Arch: plain data
+// json.Marshal cannot fail on.
+func marshal(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("serve: Arch not marshalable: %v", err)) // Arch is plain data; cannot happen
+		panic(fmt.Sprintf("serve: %T not marshalable: %v", v, err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
+}
+
+// hashPoint renders the key of an encoded point: its hex SHA-256.
+func hashPoint(enc []byte) string {
+	sum := sha256.Sum256(enc)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+// sweepKeys keys one sweep's points as Key does, but marshals each
+// distinct benchmark name and canonical Arch once: a cross product of 12
+// benchmarks and 15 archs marshals 27 values for its 180 keys.
+type sweepKeys struct {
+	names map[string][]byte
+	archs map[regconn.Arch][]byte
+	buf   []byte
+}
+
+// key returns Key(name, arch) for a canonical arch.
+func (sk *sweepKeys) key(name string, arch regconn.Arch) string {
+	if sk.names == nil {
+		sk.names, sk.archs = map[string][]byte{}, map[regconn.Arch][]byte{}
+	}
+	n, ok := sk.names[name]
+	if !ok {
+		n = marshal(name)
+		sk.names[name] = n
+	}
+	a, ok := sk.archs[arch]
+	if !ok {
+		a = marshal(arch)
+		sk.archs[arch] = a
+	}
+	// Exactly the bytes Key marshals.
+	b := append(sk.buf[:0], `{"benchmark":`...)
+	b = append(b, n...)
+	b = append(b, `,"arch":`...)
+	b = append(b, a...)
+	sk.buf = append(b, '}')
+	return hashPoint(sk.buf)
 }
 
 // pointSource says where a point's bytes came from; handleRun renders it
@@ -435,51 +481,92 @@ func (src pointSource) label() string {
 	}
 }
 
-// resolve answers one keyed point: LRU, then the persistent store, then
-// singleflight, then a worker slot, then compute. It returns the response
-// bytes and their source. Every route into a point — /v1/run, /v1/sweep
-// and /v1/figures through point, /v1/replay through replayPoint — comes
-// through here, so the deferred observe covers per-point latency and the
-// source counters uniformly under the endpoint and arch's backend labels,
-// and the span tree (when the request is traced) records each stage.
-// compute runs in the flight owner alone, under the flight's child span
-// named sim; the JSON encoding of the value it returns is what is cached.
-// A done context starts no flight, which could take a free slot and begin
-// a compile no cancellation stops.
+// resolve answers one keyed point: lookup (LRU, then the persistent
+// store), then fly (singleflight, a worker slot, compute). It returns the
+// response bytes and their source. Every route into a point — /v1/run
+// and /v1/figures through point, /v1/replay through replayPoint, and
+// /v1/sweep through the same two stages — comes through lookup, so
+// per-point latency and the source counters are observed uniformly under
+// the endpoint and arch's backend labels, and the span tree (when the
+// request is traced) records each stage.
 func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch regconn.Arch, sim string,
-	compute func(ctx context.Context) (any, error)) (body []byte, src pointSource, err error) {
-	if err := ctx.Err(); err != nil {
+	compute func(ctx context.Context) (any, error)) ([]byte, pointSource, error) {
+	body, miss, err := s.lookup(ctx, endpoint, name, k, arch)
+	switch {
+	case err != nil:
 		return nil, srcMiss, err
+	case miss != nil:
+		return s.fly(miss, k, sim, compute)
 	}
-	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "point")
-	span.Set("benchmark", name).Set("key", k).Set("backend", backendLabel(arch))
-	defer func() {
-		span.Set("cache", src.String()).End()
-		s.met.observe(endpoint, arch, src, time.Since(start))
-	}()
-	lk := span.Child("cache.lookup")
+	return body, srcHit, nil
+}
+
+// pointCall is a point between its lookup and its answer: the context
+// carrying its span, when it started and the labels it is observed under.
+type pointCall struct {
+	ctx context.Context
+	// span is nil when the request is untraced. Attributes are set only
+	// on a real span: boxing their strings would allocate for nothing.
+	span     *obs.Span
+	start    time.Time
+	endpoint string
+	backend  string
+}
+
+// done ends the point's span and observes its answer.
+func (s *Server) done(c *pointCall, src pointSource) {
+	if c.span != nil {
+		c.span.Set("cache", src.String()).End()
+	}
+	s.met.observe(c.endpoint, c.backend, src, time.Since(c.start))
+}
+
+// lookup starts one keyed point under a "point" span and looks it up in
+// the LRU, then the persistent store. A hit is observed here and returns
+// its bytes; a miss returns the open call, which fly finishes. A done
+// context returns its error and starts nothing: no flight could then
+// take a free slot and begin a compile no cancellation stops.
+func (s *Server) lookup(ctx context.Context, endpoint, name, k string, arch regconn.Arch) (body []byte, miss *pointCall, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	c := pointCall{start: time.Now(), endpoint: endpoint, backend: backendLabel(arch)}
+	c.ctx, c.span = obs.StartSpan(ctx, "point")
+	if c.span != nil {
+		c.span.Set("benchmark", name).Set("key", k).Set("backend", c.backend)
+	}
+	lk := c.span.Child("cache.lookup")
 	b, ok := s.cache.Get(k)
 	lk.End()
-	if ok {
-		return b, srcHit, nil
-	}
-	if s.store != nil {
-		rd := span.Child("store.read")
-		b, ok := s.store.Get(k)
+	if !ok && s.store != nil {
+		rd := c.span.Child("store.read")
+		b, ok = s.store.Get(k)
 		rd.End()
 		if ok {
 			// Read through: promote the durable record into the LRU so the
 			// next hit skips the store index.
 			s.cache.Put(k, b)
-			return b, srcHit, nil
 		}
 	}
+	if ok {
+		s.done(&c, srcHit)
+		return b, nil, nil
+	}
+	open := c // only the copy escapes: a hit's call stays on the stack
+	return nil, &open, nil
+}
+
+// fly answers a point that lookup missed: singleflight, then a worker slot,
+// then compute, which runs in the flight owner alone under the flight's
+// child span named sim; the JSON encoding of the value it returns is what
+// is cached. The point's span, opened by lookup, ends here.
+func (s *Server) fly(c *pointCall, k, sim string, compute func(ctx context.Context) (any, error)) (body []byte, src pointSource, err error) {
+	defer func() { s.done(c, src) }()
 	// The flight span covers the whole wait; only the owner's closure
 	// runs, so the sim/store.append children attach to exactly one
 	// request's tree — the owner's.
-	fl := span.Child("flight")
-	val, err, shared := s.flights.Do(ctx, k, func(fctx context.Context) ([]byte, error) {
+	fl := c.span.Child("flight")
+	val, err, shared := s.flights.Do(c.ctx, k, func(fctx context.Context) ([]byte, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-fctx.Done():
@@ -522,18 +609,23 @@ func (s *Server) resolve(ctx context.Context, endpoint, name, k string, arch reg
 }
 
 // point answers one (benchmark, canonical arch) coordinate through resolve
-// under its Key k, so the cached body names the point the way k hashes it;
-// a miss is simulated by the front-end memo's RunPoint under a "simulate"
-// span.
+// under its Key k; a miss is simulated under a "simulate" span.
 func (s *Server) point(ctx context.Context, endpoint string, bm bench.Benchmark, arch regconn.Arch, k string) ([]byte, pointSource, error) {
-	return s.resolve(ctx, endpoint, bm.Name, k, arch, "simulate", func(ctx context.Context) (any, error) {
+	return s.resolve(ctx, endpoint, bm.Name, k, arch, "simulate", s.simulate(bm, arch, k))
+}
+
+// simulate computes a (benchmark, canonical arch) point keyed k on the
+// front-end memo's RunPoint, as the RunResponse whose encoding is cached,
+// so the cached body names the point the way k hashes it.
+func (s *Server) simulate(bm bench.Benchmark, arch regconn.Arch, k string) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
 		res, err := s.frontends.RunPoint(ctx, bm, arch)
 		if err != nil {
 			return nil, err
 		}
 		obs.FromContext(ctx).Set("cycles", res.Cycles).Set("instrs", res.Instrs)
 		return RunResponse{Benchmark: bm.Name, Arch: arch, Key: k, Result: res}, nil
-	})
+	}
 }
 
 // requestContext applies the per-request deadline: the server default,
@@ -749,7 +841,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		gen  bool
 	}
 	resolved := map[coord]bench.Benchmark{}
-	jobs := make([]*sweepJob, len(pts))
+	var keys sweepKeys
+	jobs := make([]sweepJob, len(pts))
 	for i, p := range pts {
 		if err := p.Arch.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, errorBody{Benchmark: p.Benchmark, Error: err.Error()})
@@ -769,7 +862,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			resolved[c] = bm
 		}
 		p.Arch = p.Arch.Canonical()
-		jobs[i] = &sweepJob{bm: bm, arch: p, key: Key(bm.Name, p.Arch), ch: make(chan result, 1)}
+		jobs[i] = sweepJob{bm: bm, arch: p, key: keys.key(bm.Name, p.Arch)}
 	}
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
@@ -778,7 +871,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// table's per-peer breakdown and routes the fan-out below.
 	sharded := s.ring != nil && !req.LocalOnly
 	ownerOf := make([]string, len(jobs))
-	for i, j := range jobs {
+	for i := range jobs {
+		j := &jobs[i]
 		if sharded && !s.ring.local(j.key) {
 			ownerOf[i] = s.ring.owner(j.key)
 		} else {
@@ -792,16 +886,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	st := s.obs.sweeps.register(requestIDFrom(ctx), ownerOf)
 	defer s.obs.sweeps.finish(st)
 
-	// Fan the grid out — locally (the worker-pool semaphore bounds real
-	// concurrency) or to each point's owning replica — and stream lines
-	// back in deterministic benchmark-major request order.
+	// Fan the peer-owned points out to their owning replicas first, so
+	// they compute while this replica looks up its own.
 	var owners []string
 	byOwner := map[string][]*sweepJob{}
-	for _, j := range jobs {
+	for i := range jobs {
+		j := &jobs[i]
 		if j.owner == ownerLocal {
-			go s.runSweepJob(ctx, j)
 			continue
 		}
+		j.ch = make(chan result, 1)
 		if _, ok := byOwner[j.owner]; !ok {
 			owners = append(owners, j.owner)
 		}
@@ -820,13 +914,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
+	// Look the local points up in request order: a hit is answered here,
+	// in the handler, and only a miss starts a goroutine, which enters the
+	// flight stage (the worker-pool semaphore bounds real concurrency).
+	// Every line streams back in request order as soon as it and the lines
+	// before it are ready. Lines collect in a pooled buffer, and the
+	// stream is flushed only before waiting for a line that is not ready:
+	// a ready line never waits behind a later point, and a warm sweep goes
+	// out in a few large writes.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	out := sweepWriters.Get().(*bufio.Writer)
+	out.Reset(w)
+	defer func() {
+		out.Reset(nil)
+		sweepWriters.Put(out)
+	}()
+	enc := json.NewEncoder(out)
 	failed := 0
-	for _, j := range jobs {
-		res := <-j.ch
-		pointFailed := res.err != nil || res.remoteErr
+	write := func(j *sweepJob) {
+		res := j.res
+		j.res = result{} // once buffered, the bytes need not live on
 		switch {
 		case res.err != nil:
 			s.met.sweepPointErrors.Inc()
@@ -837,20 +945,53 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				s.met.sweepPointErrors.Inc()
 				failed++
 			}
-			w.Write(res.body)
-			w.Write([]byte("\n"))
+			out.Write(res.body)
+			out.WriteByte('\n')
 		}
-		st.point(j.owner, pointFailed)
-		if flusher != nil {
-			flusher.Flush()
+		st.point(j.owner, res.err != nil || res.remoteErr)
+	}
+	next := 0 // jobs[:next] are written
+	for i := range jobs {
+		j := &jobs[i]
+		if j.owner == ownerLocal {
+			body, miss, err := s.lookup(ctx, "sweep", j.bm.Name, j.key, j.arch.Arch)
+			if miss == nil {
+				j.res = result{body: body, err: err}
+			} else {
+				j.ch = make(chan result, 1)
+				go func() {
+					body, _, err := s.fly(miss, j.key, "simulate", s.simulate(j.bm, j.arch.Arch, j.key))
+					j.ch <- result{body: body, err: err}
+				}()
+			}
+		}
+		for ; next <= i && jobs[next].ready(); next++ {
+			write(&jobs[next])
 		}
 	}
-	// The 200 header went out before the first point ran, so statusWriter
-	// cannot see a sweep where every point failed — count it here.
+	for ; next < len(jobs); next++ {
+		j := &jobs[next]
+		if !j.ready() {
+			out.Flush()
+			if flusher != nil {
+				flusher.Flush()
+			}
+			j.res = <-j.ch
+		}
+		write(j)
+	}
+	out.Flush()
+	// The 200 header is committed before the last point's outcome is
+	// known, so statusWriter cannot see a sweep where every point failed —
+	// count it here.
 	if failed > 0 && failed == len(jobs) {
 		s.met.errors.With("sweep").Inc()
 	}
 }
+
+// sweepWriters pools the buffers sweeps stream through: 32 KiB, or 25
+// lines of a paper-suite sweep, per write to the connection.
+var sweepWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
 // ownerLocal labels points this replica computes itself in the sweep
 // progress table.

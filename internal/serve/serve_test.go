@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -341,6 +342,92 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestSweepStreamsBeforeWaiting pins when a sweep's lines reach the
+// client: a ready line never waits behind a later point. On a one-worker
+// daemon whose only slot the test holds, a sweep of [warm point, uncached
+// point] must deliver the warm line — byte-identical to /v1/run's body —
+// while the uncached point still waits for the slot; releasing the slot
+// lets the second line follow.
+func TestSweepStreamsBeforeWaiting(t *testing.T) {
+	sv := newServer(t, Config{Workers: 1})
+	srv := httptest.NewServer(sv)
+	defer srv.Close()
+
+	warm := RunRequest{Benchmark: "matrix300", Arch: fastArch()}
+	resp, runBody := postRun(t, srv, warm)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming run: %d %s", resp.StatusCode, runBody)
+	}
+	cold := fastArch()
+	cold.Issue = 2
+
+	sv.sem <- struct{}{} // the daemon's only worker slot
+	held := true
+	release := func() {
+		if held {
+			held = false
+			<-sv.sem
+		}
+	}
+	defer release()
+
+	body, _ := json.Marshal(SweepRequest{Points: []SweepPoint{
+		{Benchmark: warm.Benchmark, Arch: warm.Arch},
+		{Benchmark: warm.Benchmark, Arch: cold},
+	}})
+	type line struct {
+		b   []byte
+		err error
+	}
+	lines := make(chan line, 2)
+	go func() {
+		defer close(lines)
+		resp, err := srv.Client().Post(srv.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			lines <- line{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		for range 2 {
+			b, err := br.ReadBytes('\n')
+			lines <- line{b, err}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	next := func(what string) line {
+		t.Helper()
+		select {
+		case l, ok := <-lines:
+			if !ok || l.err != nil {
+				t.Fatalf("%s: stream ended (%v)", what, l.err)
+			}
+			return l
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: no line after 30 s", what)
+		}
+		return line{}
+	}
+
+	first := next("warm line with the slot held")
+	if want := append(append([]byte(nil), runBody...), '\n'); !bytes.Equal(first.b, want) {
+		t.Fatalf("warm line differs from the /v1/run body:\nsweep: %s\nrun:   %s", first.b, runBody)
+	}
+	select {
+	case l := <-lines:
+		t.Fatalf("second line arrived while the only worker slot was held: %s (%v)", l.b, l.err)
+	default:
+	}
+	release()
+	second := next("uncached line after the release")
+	var rr RunResponse
+	if err := json.Unmarshal(second.b, &rr); err != nil || rr.Result == nil || rr.Key != Key(warm.Benchmark, cold) {
+		t.Fatalf("second line is not the uncached point: %s (%v)", second.b, err)
+	}
+}
+
 // TestSweepAllPointsFailedCountsError: a sweep whose every point fails
 // streams only error lines after its 200 header — statusWriter never sees
 // a failure status, so handleSweep itself must count the sweep as an
@@ -547,6 +634,51 @@ func TestKeyCanonical(t *testing.T) {
 	if len(Key("cpp", a)) != 64 {
 		t.Errorf("key is not hex sha256: %q", Key("cpp", a))
 	}
+
+	// A sweep keys its points with sweepKeys, which marshals each distinct
+	// name and arch once; every key it hands out must be Key's, and Key
+	// must hash exactly json.Marshal's encoding of the point. The archs
+	// are the serve-warm grid's (issue {2,4,8} × the five backends), each
+	// backend in both spellings; the names exercise every JSON escape.
+	var archs []regconn.Arch
+	for _, issue := range []int{2, 4, 8} {
+		for _, be := range []string{"spill", "rc", "portreduce", "chain", "unlimited"} {
+			byName := regconn.Arch{Issue: issue, LoadLatency: 2, IntCore: 16, FPCore: 32, Backend: be, CombineConnects: true}
+			byMode := byName.Canonical()
+			byMode.Backend = ""
+			archs = append(archs, byName, byMode)
+		}
+	}
+	names := []string{"cpp", `quote"d`, `back\slash`, "<tag>", "a&b", "line\u2028sep", "lone\xffbyte"}
+	var sk sweepKeys
+	for pass := 0; pass < 2; pass++ { // the second pass reads sk's memo
+		for _, name := range names {
+			for i, a := range archs {
+				want := referenceKey(t, name, a)
+				if got := Key(name, a); got != want {
+					t.Errorf("Key(%q, arch[%d]) = %s, want %s", name, i, got, want)
+				}
+				if got := sk.key(name, a.Canonical()); got != want {
+					t.Errorf("sweep key (%q, arch[%d]) = %s, want %s", name, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// referenceKey is Key as it has always been computed: the hex SHA-256 of
+// json.Marshal of the point with its canonical arch.
+func referenceKey(t *testing.T, benchmark string, a regconn.Arch) string {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Benchmark string       `json:"benchmark"`
+		Arch      regconn.Arch `json:"arch"`
+	}{benchmark, a.Canonical()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // legacyArch replicates the Arch struct exactly as it marshaled before the

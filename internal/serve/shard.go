@@ -87,14 +87,31 @@ func (r *ring) local(key string) bool {
 	return r == nil || len(r.points) == 0 || r.owner(key) == r.self
 }
 
-// sweepJob is one grid point flowing through handleSweep: computed
-// locally or answered by its owning peer, delivered on ch either way.
+// sweepJob is one grid point flowing through handleSweep: a local hit
+// answered in res by the handler, or a local miss or a peer-owned point
+// delivered on ch.
 type sweepJob struct {
 	bm    bench.Benchmark
 	arch  SweepPoint // canonical arch, forwarded to the owner
 	key   string
 	owner string // ownerLocal or the owning peer's base URL
-	ch    chan result
+	res   result
+	ch    chan result // nil when res holds the answer
+}
+
+// ready reports whether the job's answer is in res, receiving it from ch
+// if it has arrived; it never waits.
+func (j *sweepJob) ready() bool {
+	if j.ch == nil {
+		return true
+	}
+	select {
+	case j.res = <-j.ch:
+		j.ch = nil
+		return true
+	default:
+		return false
+	}
 }
 
 // forwardSweep sends one owner's slice of the grid to that peer as a

@@ -52,8 +52,9 @@ const (
 )
 
 // ErrBadTrace marks a trace that failed structural validation: bad header,
-// checksum mismatch, truncation, malformed JSON, or out-of-range code
-// references. The serve layer maps it to a structured 4xx response.
+// checksum mismatch, truncation, malformed JSON, or code or data the
+// simulator does not admit under the recorded configuration. The serve
+// layer maps it to a structured 4xx response.
 var ErrBadTrace = errors.New("workload: bad trace")
 
 // TraceGlobal is one global's layout and initial data — everything the
@@ -198,11 +199,23 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 
 // Validate checks the structural invariants replay relies on so that a
 // hand-edited or corrupt-but-checksummed trace surfaces as a structured
-// error rather than a simulator fault: non-empty code, annotations 1:1
-// with it, an entry inside it, sane globals, and code the simulator admits
-// under the recorded configuration (machine.Check: issue geometry,
-// register files, memory size, operand classes and bounds, targets).
+// error rather than a simulator fault: the trace's shape (checkShape) and
+// code the simulator admits under the recorded configuration
+// (machine.Check: issue geometry, register files, memory size, operand
+// classes and bounds, targets).
 func (t *Trace) Validate() error {
+	if err := t.checkShape(); err != nil {
+		return err
+	}
+	if err := machine.Check(t.Code, t.Config); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadTrace, err)
+	}
+	return nil
+}
+
+// checkShape is Validate without code admission: non-empty code,
+// annotations 1:1 with it, an entry inside it, and sane globals.
+func (t *Trace) checkShape() error {
 	if len(t.Code) == 0 {
 		return fmt.Errorf("%w: empty code", ErrBadTrace)
 	}
@@ -222,9 +235,6 @@ func (t *Trace) Validate() error {
 		if int64(len(g.InitI))*8 > g.Size || int64(len(g.InitF))*8 > g.Size {
 			return fmt.Errorf("%w: global %q: initializer exceeds size %d", ErrBadTrace, g.Name, g.Size)
 		}
-	}
-	if err := machine.Check(t.Code, t.Config); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	return nil
 }
@@ -267,15 +277,18 @@ var replayArenas = sync.Pool{New: func() any { return machine.NewMachine() }}
 // arena, and every check reads it before it goes back to the pool; the
 // returned result is detached from it: its counters, issue histogram and
 // map telemetry are copies, and it carries no memory image (Mem is nil).
+// Replay checks the trace's shape itself and leaves admitting its code to
+// Machine.Reset, which admits every image it loads as machine.Check does:
+// a shape or admission failure wraps ErrBadTrace.
 func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
-	if err := t.Validate(); err != nil {
+	if err := t.checkShape(); err != nil {
 		return nil, err
 	}
 	img := t.image()
 	m := replayArenas.Get().(*machine.Machine)
 	defer replayArenas.Put(m)
 	if err := m.Reset(img, t.Config); err != nil {
-		return nil, fmt.Errorf("workload: replay %s: %w", t.Name, err)
+		return nil, fmt.Errorf("%w: replay %s: %w", ErrBadTrace, t.Name, err)
 	}
 	res, err := m.RunContext(ctx)
 	if err != nil {

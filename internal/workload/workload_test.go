@@ -275,12 +275,16 @@ func TestTraceCorruption(t *testing.T) {
 	tr, raw, _ := encodeTrace(t, "gen/mixed/0")
 	headerLen := bytes.IndexByte(raw, '\n') + 1
 
+	// mutants maps each hand-built mutant's encoding to the mutant itself,
+	// which Replay must refuse as DecodeTrace does.
+	mutants := map[string]*workload.Trace{}
 	reencode := func(mutate func(c workload.Trace) workload.Trace) []byte {
 		c := mutate(*tr)
 		var buf bytes.Buffer
 		if _, err := c.Encode(&buf); err != nil {
 			t.Fatalf("re-encode mutant: %v", err)
 		}
+		mutants[buf.String()] = &c
 		return buf.Bytes()
 	}
 	// instr re-encodes the trace with the first instruction pick accepts
@@ -391,6 +395,11 @@ func TestTraceCorruption(t *testing.T) {
 			_, _, err := workload.DecodeTrace(bytes.NewReader(c.data))
 			if !errors.Is(err, workload.ErrBadTrace) {
 				t.Fatalf("got %v, want ErrBadTrace", err)
+			}
+			if m := mutants[string(c.data)]; m != nil {
+				if _, err := m.Replay(context.Background()); !errors.Is(err, workload.ErrBadTrace) {
+					t.Fatalf("Replay: got %v, want ErrBadTrace", err)
+				}
 			}
 		})
 	}
