@@ -343,11 +343,11 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 }
 
 // TestSweepStreamsBeforeWaiting pins when a sweep's lines reach the
-// client: a ready line never waits behind a later point. On a one-worker
-// daemon whose only slot the test holds, a sweep of [warm point, uncached
-// point] must deliver the warm line — byte-identical to /v1/run's body —
-// while the uncached point still waits for the slot; releasing the slot
-// lets the second line follow.
+// client: a ready line never waits behind a later point's flight. On a
+// one-worker daemon whose only slot the test holds, a sweep of [warm
+// point, uncached point] must deliver the warm line — byte-identical to
+// /v1/run's body — while the uncached point still waits for the slot;
+// releasing the slot lets the second line follow.
 func TestSweepStreamsBeforeWaiting(t *testing.T) {
 	sv := newServer(t, Config{Workers: 1})
 	srv := httptest.NewServer(sv)

@@ -12,6 +12,7 @@ import (
 
 	"regconn"
 	"regconn/internal/isa"
+	"regconn/internal/mem"
 	"regconn/internal/workload"
 )
 
@@ -330,6 +331,18 @@ func TestReplayEndpoint(t *testing.T) {
 				t.Fatalf("replay after the rejection: status %d: %s", resp.StatusCode, body)
 			}
 		})
+	}
+
+	// Globals laid out past the end of memory decode, and fault as Reset
+	// loads them: a guest fault, a 422 as on every endpoint.
+	pastMemory := editedTrace(t, raw, func(tr *workload.Trace) {
+		tr.Globals = append(tr.Globals,
+			workload.TraceGlobal{Name: "pad", Size: mem.MaxSize},
+			workload.TraceGlobal{Name: "past", Size: 8, InitI: []int64{1}})
+	})
+	if resp, body := postRaw(t, srv, "/v1/replay", "application/octet-stream", pastMemory); resp.StatusCode != http.StatusUnprocessableEntity ||
+		!strings.Contains(string(body), "fault") {
+		t.Errorf("globals past memory: status %d: %s, want 422 with a fault", resp.StatusCode, body)
 	}
 
 	resp, body := postRaw(t, srv, "/v1/replay", "application/octet-stream", encodedTrace(t, "gen/mixed/0"))

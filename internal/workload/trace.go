@@ -279,7 +279,8 @@ var replayArenas = sync.Pool{New: func() any { return machine.NewMachine() }}
 // map telemetry are copies, and it carries no memory image (Mem is nil).
 // Replay checks the trace's shape itself and leaves admitting its code to
 // Machine.Reset, which admits every image it loads as machine.Check does:
-// a shape or admission failure wraps ErrBadTrace.
+// a shape or admission failure wraps ErrBadTrace. A guest fault while
+// Reset loads the globals is a *machine.RuntimeError, as at run time.
 func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
 	if err := t.checkShape(); err != nil {
 		return nil, err
@@ -288,6 +289,10 @@ func (t *Trace) Replay(ctx context.Context) (*machine.Result, error) {
 	m := replayArenas.Get().(*machine.Machine)
 	defer replayArenas.Put(m)
 	if err := m.Reset(img, t.Config); err != nil {
+		var fault *machine.RuntimeError
+		if errors.As(err, &fault) {
+			return nil, fmt.Errorf("workload: replay %s: %w", t.Name, err)
+		}
 		return nil, fmt.Errorf("%w: replay %s: %w", ErrBadTrace, t.Name, err)
 	}
 	res, err := m.RunContext(ctx)

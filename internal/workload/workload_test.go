@@ -16,6 +16,7 @@ import (
 	"regconn"
 	"regconn/internal/isa"
 	"regconn/internal/machine"
+	"regconn/internal/mem"
 	"regconn/internal/workload"
 )
 
@@ -402,6 +403,23 @@ func TestTraceCorruption(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// Globals laid out past the end of memory pass DecodeTrace, and
+	// loading them faults: a guest fault, as at run time, not a bad trace.
+	pastMemory := reencode(func(c workload.Trace) workload.Trace {
+		c.Globals = append(append([]workload.TraceGlobal(nil), c.Globals...),
+			workload.TraceGlobal{Name: "pad", Size: mem.MaxSize},
+			workload.TraceGlobal{Name: "past", Size: 8, InitI: []int64{1}})
+		return c
+	})
+	if _, _, err := workload.DecodeTrace(bytes.NewReader(pastMemory)); err != nil {
+		t.Fatalf("globals past memory: DecodeTrace: %v", err)
+	}
+	_, err := mutants[string(pastMemory)].Replay(context.Background())
+	var fault *machine.RuntimeError
+	if !errors.As(err, &fault) || errors.Is(err, workload.ErrBadTrace) {
+		t.Errorf("globals past memory: Replay: got %v, want a *machine.RuntimeError, not ErrBadTrace", err)
 	}
 
 	// Hostile bodies must fail before any large allocation: a header
