@@ -996,8 +996,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // sweepWriters pools the buffers sweeps stream through: 32 KiB, or 25
 // lines of a paper-suite sweep, per write to the connection. Writing each
-// line straight to the response instead served 22% fewer serve-warm
-// points/s (median of 6 alternating perfbench pairs on 2 vCPUs; every
+// line straight to the response instead served 16% fewer serve-warm
+// points/s (median of 10 alternating perfbench pairs on 2 vCPUs; every
 // pair lost).
 var sweepWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
